@@ -113,12 +113,13 @@ type Options struct {
 	// Harness self-validation only.
 	Fault Fault
 	// SealHook, when non-nil, is called immediately after every commit
-	// point (the Tail persist that seals a batch or serial transaction)
-	// with that seal's sequence number, while the commit lock is still
-	// held. Sequence numbers are assigned when a seal starts and are
-	// strictly increasing, so the largest value a hook observed before a
-	// crash is exactly the prefix of seals that reached their commit
-	// point. The hook must be fast and must not call back into the cache.
+	// point (the last Tail persist that seals a batch or serial
+	// transaction) with that seal's sequence number, while the seal's
+	// ring locks are still held. Sequence numbers are assigned when a
+	// seal starts and are strictly increasing, so the largest value a
+	// hook observed before a crash is exactly the prefix of seals that
+	// reached their commit point. The hook must be fast and must not call
+	// back into the cache.
 	SealHook func(seq uint64)
 	// DestageDepth, when positive, enables the background destage path:
 	// a bounded queue of that many blocks drained by a destager
@@ -173,12 +174,6 @@ type Options struct {
 	// compares against. Functionally identical, slower and allocation-
 	// heavy at large entry counts.
 	SyncMapIndex bool
-	// DisableZeroCopy forces ReadView to return copying views even in
-	// concurrent mode — the baseline for the zero-copy read figure. The
-	// zero value (zero-copy views on) is the redesigned read API's
-	// default. (Serial/ablation modes always copy: they mutate cached
-	// bytes in place, so no stable window exists to alias.)
-	DisableZeroCopy bool
 	// FlightRecorder enables the crash-surviving black box (DESIGN.md
 	// §13): a flight.DefaultSlots-record event ring carved out of the NVM
 	// layout, written crash-consistently at seal, recovery, destage and
@@ -208,7 +203,7 @@ type Options struct {
 	// exists for that proof and for debugging.
 	SerialRecovery bool
 	// CommitRings splits the single commit log ring into this many
-	// independent per-shard rings (DESIGN.md §15): ring r serializes the
+	// independent per-shard rings (DESIGN.md §8): ring r serializes the
 	// blocks of shards congruent to r mod CommitRings, each ring has its
 	// own Head/Tail pointer pair and group-commit leader, records are
 	// stamped with a global commit-point generation, and recovery merges
@@ -403,9 +398,9 @@ type shard struct {
 // the per-block metadata (hash table, LRU) is lock-striped across
 // shardCount shards so data-path reads never serialize on a global lock.
 type Cache struct {
-	// mu is the structural lock: free lists, ring buffer, Head/Tail,
-	// eviction, miss fills, and commit batches all run under it. The
-	// read-hit fast path does not take it.
+	// mu serializes the legacy paths: serial (ablation) commits and reads,
+	// and SerialMiss fills. Seals run under their ring locks instead, and
+	// the read-hit fast path takes no lock at all.
 	mu   sync.Mutex
 	mem  *pmem.Device
 	disk blockdev.Store
@@ -451,17 +446,12 @@ type Cache struct {
 	viewPins  []atomic.Int64
 	viewsOpen atomic.Int64
 
-	head, tail uint64 // cached copies of the persistent pointers
-
-	// sealSeq numbers commit-point seals for Options.SealHook; assigned
-	// when a seal starts, reported after its Tail persist. Guarded by mu.
-	sealSeq uint64
-
-	// Multi-ring commit state (nil when CommitRings <= 1; DESIGN.md §15).
+	// Commit rings (Layout.Rings of them, 1 by default; DESIGN.md §8).
 	// rings[r] owns ring r's persistent Head/Tail pair and its group-commit
 	// queue; gen is the global commit-point generation counter every seal
 	// draws from (assigned while holding all participating ring seal locks,
-	// so per-ring generations are strictly increasing).
+	// so per-ring generations are strictly increasing). It doubles as the
+	// seal sequence number Options.SealHook reports.
 	rings []ringState
 	gen   atomic.Uint64
 
@@ -478,12 +468,6 @@ type Cache struct {
 	// fired mid-operation, so every later caller observes the crash
 	// instead of running on the half-written image.
 	poisoned atomic.Value
-
-	// Group-commit leader/follower state.
-	gcMu    sync.Mutex
-	gcCond  *sync.Cond
-	gcQueue []*commitReq
-	gcBusy  bool
 
 	// Destage queue (nil when DestageDepth == 0).
 	destageCh      chan destageItem
@@ -543,11 +527,7 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 	if opts.FlightRecorder {
 		flightSlots = flight.DefaultSlots
 	}
-	rings := 1
-	if opts.CommitRings > 1 {
-		rings = opts.CommitRings
-	}
-	lay, err := ComputeLayoutRings(mem.Size(), opts.RingBytes, ptrSlots, flightSlots, opts.Checkpoint, rings)
+	lay, err := ComputeLayoutRings(mem.Size(), opts.RingBytes, ptrSlots, flightSlots, opts.Checkpoint, opts.CommitRings)
 	if err != nil {
 		return nil, err
 	}
@@ -567,12 +547,9 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 		c.vcache = vc
 	}
 	c.alloc.init(mem.Recorder(), lay.Capacity)
-	c.gcCond = sync.NewCond(&c.gcMu)
-	if rings > 1 {
-		c.rings = make([]ringState, rings)
-		for r := range c.rings {
-			c.rings[r].init(c.rec, r)
-		}
+	c.rings = make([]ringState, lay.Rings)
+	for r := range c.rings {
+		c.rings[r].init(c.rec, r)
 	}
 	c.destageWake = sync.NewCond(&c.destageWakeMu)
 	if opts.Observe || opts.Tracer != nil {
@@ -838,7 +815,6 @@ func (c *Cache) format() {
 	c.mem.CLFlush(c.lay.HeaderOff, pmem.LineSize)
 	c.mem.SFence()
 	c.mem.Persist8(c.lay.HeaderOff+hdrMagic, layoutMagic)
-	c.head, c.tail = 0, 0
 	for b := c.lay.Capacity - 1; b >= 0; b-- {
 		c.alloc.pushBlock(uint32(b))
 		c.alloc.pushSlot(int32(b))
@@ -848,25 +824,11 @@ func (c *Cache) format() {
 // Layout exposes the computed NVM layout (for tests and tooling).
 func (c *Cache) Layout() Layout { return c.lay }
 
-// Pointers returns the cache's view of the persistent Head and Tail ring
-// pointers — after Open they equal the recovered (durable) values, which
-// is what the crash sweep's blackbox oracle compares flight records
-// against.
-func (c *Cache) Pointers() (head, tail uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.head, c.tail
-}
-
 // RingPointers returns the cache's view of every ring's persistent Head
-// and Tail pointers (CommitRings > 1). For the single-ring layout it
-// returns one-element slices equal to Pointers(). The crash sweep's
-// per-ring blackbox oracle compares flight records against these.
+// and Tail pointers (one element per commit ring). After Open they equal
+// the recovered (durable) values, which the crash sweep's per-ring
+// blackbox oracle compares flight records against.
 func (c *Cache) RingPointers() (heads, tails []uint64) {
-	if len(c.rings) == 0 {
-		h, t := c.Pointers()
-		return []uint64{h}, []uint64{t}
-	}
 	heads = make([]uint64, len(c.rings))
 	tails = make([]uint64, len(c.rings))
 	for r := range c.rings {
@@ -1110,7 +1072,9 @@ func (c *Cache) readResident(no uint64, p []byte) bool {
 
 // fillSerialLocked reads block no from disk, installs it clean in the
 // cache and copies it to p if non-nil. Caller holds c.mu (serial mode or
-// the SerialMiss baseline), which excludes every concurrent installer.
+// the SerialMiss baseline), which excludes every concurrent fill; a seal
+// that installed the block meanwhile (seals run under their ring locks,
+// not c.mu) wins, and the fill serves its entry instead.
 func (c *Cache) fillSerialLocked(no uint64, p []byte) error {
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
@@ -1128,6 +1092,16 @@ func (c *Cache) fillSerialLocked(no uint64, p []byte) error {
 	i := c.allocSlot(shardIdx(no))
 	sh := c.shardOf(no)
 	sh.mu.Lock()
+	if _, ok := sh.slot(no); ok {
+		sh.mu.Unlock()
+		c.alloc.pushSlot(i) // slot before block (popSlot's invariant)
+		c.alloc.pushBlock(b)
+		c.rec.Inc(metrics.CacheFillRace)
+		if c.readResident(no, p) {
+			return nil
+		}
+		return c.fillSerialLocked(no, p) // evicted again; start over
+	}
 	defer sh.mu.Unlock()
 	c.beginSlotMutate(i)
 	c.writeEntry(i, entry{valid: true, role: RoleBuffer, modified: false, disk: no, prev: Fresh, cur: b})
@@ -1332,13 +1306,12 @@ func (c *Cache) Close() error {
 		return err
 	}
 	c.closed.Store(true)
-	// Barrier: wait for any in-flight commit batch to finish before the
-	// background workers go away (batches enqueue destage work under c.mu).
+	// Barrier: wait for any in-flight commit to finish before the
+	// background workers go away (commits enqueue destage work). Serial
+	// commits run under c.mu, seals under their ring locks.
 	c.mu.Lock()
 	c.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	for r := range c.rings {
-		// Multi-ring seals run under their ring locks, not c.mu: barrier
-		// over each ring so no seal is mid-flight when the workers stop.
 		c.rings[r].mu.Lock()
 		c.rings[r].mu.Unlock() //nolint:staticcheck // barrier
 	}

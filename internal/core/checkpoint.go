@@ -47,11 +47,12 @@ const DefaultCheckpointIntervalNS int64 = 1_000_000
 type ckptState struct {
 	// mu guards everything below plus the journal region's append
 	// position. Leaf-level below the shard locks: ckptJournal takes it
-	// while holding one shard lock (different shards' mutators — the
-	// destager and evictor run off c.mu — would otherwise race on the
-	// append position); only the pmem device lock is taken inside.
-	// writeCheckpointLocked additionally holds c.mu and all shard locks,
-	// which quiesces every mutator across its whole frame write.
+	// while holding one shard lock (different shards' mutators — seals of
+	// different rings, the destager and the evictor — would otherwise race
+	// on the append position); only the pmem device lock is taken inside.
+	// writeCheckpointLocked additionally holds every ring lock and all
+	// shard locks, which quiesces every mutator across its whole frame
+	// write.
 	mu        sync.Mutex
 	epoch     uint64  // epoch of the active (last written) frame
 	frame     int     // index of the INACTIVE frame, written next
@@ -111,51 +112,76 @@ func (c *Cache) ckptJournal(i int) {
 	c.rec.Inc(metrics.CkptJournalRecs)
 }
 
-// maybeCheckpoint writes a checkpoint if the interval elapsed. Called at
-// commit points (end of commitSerialLocked / runBatch) where the caller
-// holds c.mu and the ring is quiescent (head == tail), so the snapshot is
-// transactionally consistent: no entry is mid-commit in RoleLog state.
+// maybeCheckpoint writes a checkpoint if the interval elapsed. Called
+// after every commit, holding NO ring lock: the quiescence a consistent
+// snapshot needs is every ring's seal lock (no seal in flight, so no
+// entry is in the log role and every ring has head == tail), which the
+// trigger acquires in index order. A crash inside the writer poisons the
+// cache, exactly like a crash inside a seal.
 func (c *Cache) maybeCheckpoint() {
 	k := c.ckpt
 	if k == nil {
 		return
 	}
 	now := int64(c.mem.Clock().Now())
-	if now-k.lastNS < k.interval {
+	k.mu.Lock()
+	due := now-k.lastNS >= k.interval
+	k.mu.Unlock()
+	if !due {
 		return
 	}
+	for r := range c.rings {
+		c.rings[r].mu.Lock()
+	}
+	defer func() {
+		for r := range c.rings {
+			c.rings[r].mu.Unlock()
+		}
+	}()
+	// Re-check under the ring locks: a racing committer may have written
+	// the checkpoint while this one waited.
+	now = int64(c.mem.Clock().Now())
+	k.mu.Lock()
+	due = now-k.lastNS >= k.interval
+	k.mu.Unlock()
+	if !due {
+		return
+	}
+	defer func() {
+		if pv := recover(); pv != nil {
+			c.poison(pv)
+			panic(pv)
+		}
+	}()
 	c.lockAllShards()
 	defer c.unlockAllShards()
 	c.writeCheckpointLocked(now)
 }
 
 // writeCheckpointLocked persists the inactive frame and retires the
-// delta journal. Caller holds the commit exclusion — c.mu on the
-// single-ring layout, every ring's seal lock on the multi-ring one — and
-// all shard locks, so every mutator is quiesced and no entry is in the
-// log role.
+// delta journal. Caller holds every ring's seal lock and all shard
+// locks, so every mutator is quiesced and no entry is in the log role.
 func (c *Cache) writeCheckpointLocked(now int64) {
 	k := c.ckpt
 	lay := c.lay
 	t0 := int64(c.mem.Clock().Now())
-	c.flEmit(flight.EvCkptBegin, 0, k.epoch+1, c.head, c.tail)
+	// The frame header and the begin record carry ring 0's pointers: a
+	// diagnostic only, recovery reads the pointers' own rotation slots.
+	r0 := &c.rings[0]
+	c.flEmit(flight.EvCkptBegin, 0, k.epoch+1, r0.head, r0.tail)
 
 	// Snapshot the whole entry region in one bulk load (4 entries/line —
 	// ~4x cheaper than per-entry Load16), then pack the valid entries.
 	raw := make([]byte, lay.Capacity*EntrySize)
 	c.mem.Load(lay.EntryOff, raw)
-	payload := make([]byte, 0, lay.ckptVecBytes()+64*ckptRecSize)
-	if len(c.rings) > 0 {
-		// Multi-ring layout: the payload opens with the per-ring
-		// {head, tail} vector (checksummed with the records). The caller
-		// holds every ring's seal lock, so the cached values are the
-		// persisted ones and every ring is quiescent (head == tail).
-		vec := make([]byte, lay.ckptVecBytes())
-		for r := range c.rings {
-			binary.LittleEndian.PutUint64(vec[r*16:], c.rings[r].head)
-			binary.LittleEndian.PutUint64(vec[r*16+8:], c.rings[r].tail)
-		}
-		payload = append(payload, vec...)
+	// On the multi-ring layout the payload opens with the per-ring
+	// {head, tail} vector (checksummed with the records; empty for one
+	// ring). Every ring is quiescent, so the cached values are the
+	// persisted ones.
+	payload := make([]byte, lay.ckptVecBytes(), lay.ckptVecBytes()+64*ckptRecSize)
+	for r := 0; r < len(payload)/16; r++ {
+		binary.LittleEndian.PutUint64(payload[r*16:], c.rings[r].head)
+		binary.LittleEndian.PutUint64(payload[r*16+8:], c.rings[r].tail)
 	}
 	count := 0
 	for i := 0; i < lay.Capacity; i++ {
@@ -184,15 +210,11 @@ func (c *Cache) writeCheckpointLocked(now int64) {
 	var hdr [ckptFrameHdr]byte
 	binary.LittleEndian.PutUint64(hdr[0:], ckptMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], epoch)
-	binary.LittleEndian.PutUint64(hdr[16:], c.head)
-	binary.LittleEndian.PutUint64(hdr[24:], c.tail)
-	// The seq field carries the generation counter on the multi-ring
-	// layout (loadMirrorCheckpoint restores whichever the layout uses).
-	seq := c.sealSeq
-	if len(c.rings) > 0 {
-		seq = c.gen.Load()
-	}
-	binary.LittleEndian.PutUint64(hdr[32:], seq)
+	binary.LittleEndian.PutUint64(hdr[16:], r0.head)
+	binary.LittleEndian.PutUint64(hdr[24:], r0.tail)
+	// The seal generation, so SealHook sequences stay monotonic across a
+	// checkpointed restart (loadMirrorCheckpoint restores it).
+	binary.LittleEndian.PutUint64(hdr[32:], c.gen.Load())
 	binary.LittleEndian.PutUint64(hdr[40:], uint64(count))
 	binary.LittleEndian.PutUint64(hdr[48:], ckptSum(payload))
 	binary.LittleEndian.PutUint64(hdr[56:], ckptSum(hdr[:56]))
@@ -242,9 +264,8 @@ func (c *Cache) formatCheckpoint() {
 	// On the multi-ring layout even an empty frame carries the per-ring
 	// {head, tail} vector (all zero at format time) — the reader always
 	// expects it ahead of the records and checksums it with them.
-	var payload []byte
-	if len(c.rings) > 0 {
-		payload = make([]byte, lay.ckptVecBytes())
+	payload := make([]byte, lay.ckptVecBytes())
+	if len(payload) > 0 {
 		c.mem.PersistRange(lay.ckptFrameOff(0)+ckptFrameHdr, payload)
 	}
 	var hdr [ckptFrameHdr]byte

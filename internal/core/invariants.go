@@ -38,28 +38,16 @@ func (c *Cache) CheckInvariants() error {
 	c.lockAllShards()
 	defer c.unlockAllShards()
 
-	if len(c.rings) > 0 {
-		for r := range c.rings {
-			rst := &c.rings[r]
-			if rst.head != rst.tail {
-				return fmt.Errorf("invariant: ring %d Head (%d) != Tail (%d) while quiescent", r, rst.head, rst.tail)
-			}
-			if h := c.loadPointer(c.lay.ringHeadOff(r)); h != rst.head {
-				return fmt.Errorf("invariant: ring %d persistent Head %d != cached %d", r, h, rst.head)
-			}
-			if t := c.loadPointer(c.lay.ringTailOff(r)); t != rst.tail {
-				return fmt.Errorf("invariant: ring %d persistent Tail %d != cached %d", r, t, rst.tail)
-			}
+	for r := range c.rings {
+		rst := &c.rings[r]
+		if rst.head != rst.tail {
+			return fmt.Errorf("invariant: ring %d Head (%d) != Tail (%d) while quiescent", r, rst.head, rst.tail)
 		}
-	} else {
-		if c.head != c.tail {
-			return fmt.Errorf("invariant: Head (%d) != Tail (%d) while quiescent", c.head, c.tail)
+		if h := c.loadPointer(c.lay.ringHeadOff(r)); h != rst.head {
+			return fmt.Errorf("invariant: ring %d persistent Head %d != cached %d", r, h, rst.head)
 		}
-		if h := c.loadPointer(c.lay.HeadOff); h != c.head {
-			return fmt.Errorf("invariant: persistent Head %d != cached %d", h, c.head)
-		}
-		if t := c.loadPointer(c.lay.TailOff); t != c.tail {
-			return fmt.Errorf("invariant: persistent Tail %d != cached %d", t, c.tail)
+		if t := c.loadPointer(c.lay.ringTailOff(r)); t != rst.tail {
+			return fmt.Errorf("invariant: ring %d persistent Tail %d != cached %d", r, t, rst.tail)
 		}
 	}
 
@@ -160,8 +148,9 @@ func (c *Cache) CheckInvariants() error {
 	// Free monitor, referenced blocks and orphaned (view-held) blocks must
 	// partition the data area. Every allocator push during an eviction
 	// happens under the victim's shard lock, so holding all shard locks
-	// (plus c.mu against commits and fills) makes the snapshot consistent;
-	// pins are stable because the caller is quiescent (no views opening).
+	// (plus c.mu and the ring locks against commits and fills) makes the
+	// snapshot consistent; pins are stable because the caller is quiescent
+	// (no views opening).
 	freeB, freeS := c.alloc.snapshot()
 	if len(freeB)+len(usedBlock)+len(orphaned) != c.lay.Capacity {
 		return fmt.Errorf("invariant: free (%d) + used (%d) + view-held (%d) != capacity (%d)",

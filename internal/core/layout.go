@@ -155,7 +155,7 @@ func ComputeLayoutExt(devSize, ringBytes, ptrSlots, flightSlots int, checkpoint 
 }
 
 // ComputeLayoutRings is ComputeLayoutExt plus the multi-ring split
-// (Options.CommitRings, DESIGN.md §15): with rings > 1 the Head/Tail
+// (Options.CommitRings, DESIGN.md §8): with rings > 1 the Head/Tail
 // pointer areas replicate per ring and the ring-buffer bytes divide into
 // rings equal sub-rings of 16B generation-stamped records. rings <= 1
 // yields a layout byte-identical to ComputeLayoutExt's.
@@ -270,24 +270,6 @@ func (l Layout) ckptFrameOff(k int) int {
 	return l.CkptOff + alignUp(l.CkptJournalSlots*RingSlotSize, pmem.LineSize) + k*l.ckptFrameBytes()
 }
 
-// headSlotOff returns where to store Head value v: with wear leveling the
-// store rotates across PtrSlots cache lines (the value itself selects the
-// slot, so recovery can take the maximum over all slots).
-func (l Layout) headSlotOff(v uint64) int {
-	if l.PtrSlots <= 1 {
-		return l.HeadOff
-	}
-	return l.HeadOff + int(v%uint64(l.PtrSlots))*pmem.LineSize
-}
-
-// tailSlotOff is headSlotOff for the Tail pointer.
-func (l Layout) tailSlotOff(v uint64) int {
-	if l.PtrSlots <= 1 {
-		return l.TailOff
-	}
-	return l.TailOff + int(v%uint64(l.PtrSlots))*pmem.LineSize
-}
-
 // ringHeadOff returns the base of ring r's Head rotation-slot area
 // (PtrSlots cache lines). Ring 0 coincides with the single-ring HeadOff.
 func (l Layout) ringHeadOff(r int) int { return l.HeadOff + r*l.PtrSlots*pmem.LineSize }
@@ -295,8 +277,10 @@ func (l Layout) ringHeadOff(r int) int { return l.HeadOff + r*l.PtrSlots*pmem.Li
 // ringTailOff is ringHeadOff for the Tail pointer.
 func (l Layout) ringTailOff(r int) int { return l.TailOff + r*l.PtrSlots*pmem.LineSize }
 
-// ringHeadSlotOff returns where to store ring r's Head value v, rotating
-// across the ring's PtrSlots lines exactly like headSlotOff.
+// ringHeadSlotOff returns where to store ring r's Head value v: with wear
+// leveling the store rotates across the ring's PtrSlots cache lines (the
+// value itself selects the slot, so recovery can take the maximum over
+// all slots).
 func (l Layout) ringHeadSlotOff(r int, v uint64) int {
 	if l.PtrSlots <= 1 {
 		return l.ringHeadOff(r)

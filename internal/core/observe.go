@@ -31,7 +31,7 @@ type obs struct {
 	wait, absorb, data, entries, ring, roleSw, tail, seal *metrics.Histogram
 	total, destage, evict, recovery                       *metrics.Histogram
 	recScan, recRedo, recUndo, recRebuild                 *metrics.Histogram
-	ckpt, ringSeal                                        *metrics.Histogram
+	ckpt                                                  *metrics.Histogram
 
 	// readRetry counts seqlock retries per successful fast-path hit that
 	// needed at least one (a count histogram, not nanoseconds).
@@ -61,7 +61,6 @@ func newObs(clock *sim.Clock, rec *metrics.Recorder, tr *metrics.Tracer) *obs {
 		recUndo:    rec.Hist(metrics.HistRecoveryUndo),
 		recRebuild: rec.Hist(metrics.HistRecoveryRebuild),
 		ckpt:       rec.Hist(metrics.HistCheckpoint),
-		ringSeal:   rec.Hist(metrics.HistCommitRingSeal),
 		readRetry:  rec.Hist(metrics.HistReadHitRetry),
 	}
 }
@@ -106,7 +105,6 @@ const (
 	spanEvictBatch = "evict.batch"
 	spanRecover    = "recovery"
 	spanCkpt       = "ckpt.write"
-	spanRingSeal   = "seal.ring_seal"
 
 	spanRecoverScan    = "recovery.scan"
 	spanRecoverRedo    = "recovery.redo"
@@ -127,7 +125,7 @@ func (o *obs) phaseLatencies() []PhaseLatency {
 	if o == nil {
 		return nil
 	}
-	hs := []*metrics.Histogram{o.wait, o.absorb, o.data, o.entries, o.ring, o.roleSw, o.tail, o.seal, o.ringSeal, o.total, o.destage, o.evict, o.recovery, o.recScan, o.recRedo, o.recUndo, o.recRebuild, o.ckpt}
+	hs := []*metrics.Histogram{o.wait, o.absorb, o.data, o.entries, o.ring, o.roleSw, o.tail, o.seal, o.total, o.destage, o.evict, o.recovery, o.recScan, o.recRedo, o.recUndo, o.recRebuild, o.ckpt}
 	out := make([]PhaseLatency, 0, len(hs))
 	for _, h := range hs {
 		s := h.Snapshot()

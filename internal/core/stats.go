@@ -25,7 +25,7 @@ type CacheStats struct {
 
 	// Zero-copy read views (view.go). ZeroCopyViews alias pinned NVM
 	// bytes; CopiedViews fell back to a private copy (serial/ablation
-	// modes, DisableZeroCopy, mid-seal fresh blocks). ViewDeferredFrees
+	// modes, mid-seal fresh blocks). ViewDeferredFrees
 	// counts block frees handed off to a view's last unpin; OpenViews is
 	// the live gauge of unclosed views.
 	ZeroCopyViews     int64
@@ -202,7 +202,7 @@ func (c *Cache) Stats() CacheStats {
 			st.IndexGrows += idx.Grows()
 		}
 	}
-	if len(c.rings) > 0 {
+	if len(c.rings) > 1 {
 		st.CrossShardTxns = r.Get(metrics.TxnCrossShard)
 		st.RingSealConflicts = r.Get(metrics.TxnRingSealConflicts)
 		st.RingSeals = make([]int64, len(c.rings))

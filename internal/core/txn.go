@@ -19,9 +19,10 @@ type Txn struct {
 	order  []uint64
 	done   bool
 
-	// sealSeq is the sequence number of the seal this transaction was
-	// committed under (0 until a seal claims it). Written under c.mu.
-	sealSeq uint64
+	// sealGen is the generation of the seal this transaction was
+	// committed under (0 until a seal claims it). Written by the sealing
+	// goroutine before the seal's commit point.
+	sealGen uint64
 }
 
 // SealSeq returns the sequence number of the seal that committed (or was
@@ -31,7 +32,7 @@ type Txn struct {
 // every transaction they claimed must be durable; transactions with a
 // larger (or zero) SealSeq must be absent. Read it only after Commit
 // returned or after the committing goroutines were joined.
-func (t *Txn) SealSeq() uint64 { return t.sealSeq }
+func (t *Txn) SealSeq() uint64 { return t.sealGen }
 
 // Begin initiates a running transaction (tinca_init_txn).
 func (c *Cache) Begin() *Txn {
@@ -89,10 +90,11 @@ func (t *Txn) Abort() {
 //     the previous versions;
 //  4. set Tail = Head; this atomic store is the commit point.
 //
-// In the default configuration concurrently arriving Commits coalesce
-// into a single seal (see group.go): the protocol's persist order is kept
-// but its fences and pointer flips are paid once per batch. Ablation
-// configurations keep the paper's one-transaction-at-a-time commit.
+// In the default configuration concurrently arriving Commits to one ring
+// coalesce into a single seal (see seal.go): the protocol's persist order
+// is kept but its fences and pointer flips are paid once per batch.
+// Ablation configurations keep the paper's one-transaction-at-a-time
+// commit.
 //
 // On success all staged blocks are durable and atomic: after any crash,
 // either every block of this transaction is visible or none is.
@@ -109,41 +111,43 @@ func (t *Txn) Commit() error {
 		t.done = true
 		return nil
 	}
-	if len(c.rings) > 0 {
-		// Multi-ring commit (CommitRings > 1): per-ring capacity checks and
-		// routing live in commitMultiRing — RingSlots is per ring there.
-		return c.commitMultiRing(t)
+	if !c.serial {
+		// Per-ring capacity checks and routing live in commitRings.
+		return c.commitRings(t)
 	}
 	if len(t.order) > c.lay.RingSlots {
 		return ErrTxnTooLarge
 	}
-	if c.serial {
-		var t0 int64
-		if c.obs != nil {
-			t0 = c.obs.now()
-		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.closed.Load() {
-			return ErrClosed
-		}
-		err := c.commitSerialLocked(t)
-		t.done = true
-		if c.obs != nil {
-			c.obs.phase(c.obs.total, 0, spanSerial, t0, c.obs.gid())
-		}
-		return err
+	var t0 int64
+	if c.obs != nil {
+		t0 = c.obs.now()
 	}
-	return c.groupCommit(t)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		return ErrClosed
+	}
+	err := c.commitSerialLocked(t)
+	if err == nil {
+		c.maybeCheckpoint()
+	}
+	t.done = true
+	if c.obs != nil {
+		c.obs.phase(c.obs.total, 0, spanSerial, t0, c.obs.gid())
+	}
+	return err
 }
 
-// commitSerialLocked is the paper's one-transaction-at-a-time commit. It
-// serves the ablation configurations and the group path's fallback when a
-// merged batch cannot be allocated. Caller holds c.mu.
+// commitSerialLocked is the paper's one-transaction-at-a-time commit on
+// the single ring, serving the ablation configurations (which validate to
+// one ring). Caller holds c.mu; the ring's seal lock is taken here so the
+// ring pointers keep one guard in every mode.
 func (c *Cache) commitSerialLocked(t *Txn) error {
-	c.sealSeq++
-	t.sealSeq = c.sealSeq
-	c.flEmit(flight.EvSerialBegin, 0, t.sealSeq, uint64(len(t.order)), 0)
+	rs := &c.rings[0]
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	t.sealGen = c.gen.Add(1)
+	c.flEmit(flight.EvSerialBegin, 0, t.sealGen, uint64(len(t.order)), 0)
 	// Every slot this commit touches stays pinned (in its block's shard)
 	// until the Tail flip below is durable: after the role switch an
 	// entry looks like an ordinary dirty buffer, but evicting it — with
@@ -172,10 +176,10 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 			// through the max-recovered pointer slots, and a stale
 			// larger Head over revoked entries would fail recovery.
 			unpin()
-			start := c.tail
-			c.setTail(c.head)
-			c.revokeRange(start, c.head)
-			c.flEmit(flight.EvSealAbort, 0, t.sealSeq, c.head, uint64(c.head-start))
+			start := rs.tail
+			c.persistTail(0)
+			c.revokeRange(start, rs.head)
+			c.flEmit(flight.EvSealAbort, 0, t.sealGen, rs.head, rs.head-start)
 			c.rec.Inc(metrics.TxnAbort)
 			return err
 		}
@@ -204,12 +208,12 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 	}
 
 	// Step 5: Tail catches up with Head; this ends the transaction.
-	c.setTail(c.head)
+	c.persistTail(0)
 	// After the flip, so this record durable implies the commit durable
 	// (the invariant the crash oracle checks against the recovered Tail).
-	c.flEmit(flight.EvSerialCommit, 0, t.sealSeq, c.head, uint64(len(t.order)))
+	c.flEmit(flight.EvSerialCommit, 0, t.sealGen, rs.head, uint64(len(t.order)))
 	if c.opts.SealHook != nil {
-		c.opts.SealHook(t.sealSeq)
+		c.opts.SealHook(t.sealGen)
 	}
 
 	// Committed blocks become the most recently used (Section 4.6 rule 2b).
@@ -228,13 +232,12 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 
 	c.rec.Inc(metrics.TxnCommit)
 	c.rec.Add(metrics.TxnBlocks, int64(len(t.order)))
-	c.maybeCheckpoint()
 	return nil
 }
 
 // commitBlock writes one block of the committing transaction (steps 1-3 of
 // the protocol) and returns the entry slot used. Serial path only; caller
-// holds c.mu.
+// holds c.mu and ring 0's seal lock.
 func (c *Cache) commitBlock(no uint64, data []byte) (int32, error) {
 	var slot int32
 	h := shardIdx(no)
@@ -354,9 +357,8 @@ func (c *Cache) commitBlock(no uint64, data []byte) (int32, error) {
 
 	// Record the block number in the ring and move Head (8B atomic writes
 	// each followed by clflush+sfence).
-	c.mem.Persist8(c.lay.ringSlotOff(c.head), no)
-	c.head++
-	c.mem.Persist8(c.lay.headSlotOff(c.head), c.head)
+	c.mem.Persist8(c.lay.ringSlotOff(c.rings[0].head), no)
+	c.advanceHead(0, 1)
 	return slot, nil
 }
 
@@ -401,12 +403,6 @@ func (c *Cache) persistBlockData(off int, data []byte) {
 		return
 	}
 	c.mem.PersistRange(off, data)
-}
-
-// setTail persists Tail = p. Caller holds c.mu.
-func (c *Cache) setTail(p uint64) {
-	c.tail = p
-	c.mem.Persist8(c.lay.tailSlotOff(p), p)
 }
 
 // CommitBlocks is a convenience wrapper committing the given blocks as one

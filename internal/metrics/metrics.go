@@ -51,17 +51,17 @@ const (
 
 	// Tier counters (charged by internal/objstore's L2-over-L3 tier).
 	// TierUploadQueueDepth is a ±gauge of dirty L2 blocks awaiting upload.
-	TierL2Hits           = "tier.l2_hits"           // reads served from the block device
-	TierStagingHits      = "tier.staging_hits"      // reads served from the DRAM staging ring
-	TierL3Fetches        = "tier.l3_fetches"        // demand object fetches from the store
-	TierPrefetches       = "tier.prefetches"        // read-ahead object fetches issued
-	TierPrefetchHits     = "tier.prefetch_hits"     // demand misses absorbed by a prefetched object
-	TierUploads          = "tier.uploads"           // objects made durable in the store
-	TierUploadBlocks     = "tier.upload_blocks"     // dirty blocks cleaned by uploads
-	TierL2Evicts         = "tier.l2_evicts"         // clean L2 slots recycled
-	TierAdmits           = "tier.admits"            // clean NVM victims installed into L2
-	TierAdmitDrops       = "tier.admit_drops"       // clean-victim offers dropped (no free slot / queue full)
-	TierBackpressure     = "tier.backpressure"      // writes stalled on the dirty high-water mark
+	TierL2Hits           = "tier.l2_hits"       // reads served from the block device
+	TierStagingHits      = "tier.staging_hits"  // reads served from the DRAM staging ring
+	TierL3Fetches        = "tier.l3_fetches"    // demand object fetches from the store
+	TierPrefetches       = "tier.prefetches"    // read-ahead object fetches issued
+	TierPrefetchHits     = "tier.prefetch_hits" // demand misses absorbed by a prefetched object
+	TierUploads          = "tier.uploads"       // objects made durable in the store
+	TierUploadBlocks     = "tier.upload_blocks" // dirty blocks cleaned by uploads
+	TierL2Evicts         = "tier.l2_evicts"     // clean L2 slots recycled
+	TierAdmits           = "tier.admits"        // clean NVM victims installed into L2
+	TierAdmitDrops       = "tier.admit_drops"   // clean-victim offers dropped (no free slot / queue full)
+	TierBackpressure     = "tier.backpressure"  // writes stalled on the dirty high-water mark
 	TierUploadQueueDepth = "tier.upload_queue_depth"
 
 	// Cache-manager counters (charged by internal/core and internal/classic).
@@ -98,22 +98,22 @@ const (
 	CacheJournalWriteMiss = "cache.journal_write_miss"
 
 	// Transaction counters.
-	TxnCommit       = "txn.commit"
-	TxnAbort        = "txn.abort"
-	TxnBlocks       = "txn.blocks"          // data blocks committed
-	TxnCOWBlocks    = "txn.cow_blocks"      // blocks that needed a COW copy
-	TxnGroupSeals   = "txn.group_seals"     // coalesced ring-buffer seals
-	TxnGroupSize    = "txn.group_size"      // transactions absorbed into seals (sum)
-	TxnAbsorbed     = "txn.absorbed_blocks" // duplicate blocks absorbed within a seal
-	// Multi-ring commit counters (internal/core/multiring.go). Per-ring
+	TxnCommit     = "txn.commit"
+	TxnAbort      = "txn.abort"
+	TxnBlocks     = "txn.blocks"          // data blocks committed
+	TxnCOWBlocks  = "txn.cow_blocks"      // blocks that needed a COW copy
+	TxnGroupSeals = "txn.group_seals"     // coalesced ring-buffer seals
+	TxnGroupSize  = "txn.group_size"      // transactions absorbed into seals (sum)
+	TxnAbsorbed   = "txn.absorbed_blocks" // duplicate blocks absorbed within a seal
+	// Multi-ring commit counters (internal/core/seal.go). Per-ring
 	// counters use RingSealName/RingQueueDepthName; RingQueueDepth* is a
 	// ±gauge (enqueue/dequeue deltas), like DestageQueueDepth.
 	TxnCrossShard        = "txn.cross_shard"         // commits spanning more than one ring
 	TxnRingSealConflicts = "txn.ring_seal_conflicts" // ring locks a cross-ring seal found contended
-	JournalCommit   = "jbd.commit"          // journal transactions committed
-	JournalBlocks   = "jbd.log_blocks"      // log (data) blocks written to journal
-	JournalMeta     = "jbd.meta_blocks"     // descriptor/commit/revoke blocks
-	JournalCkptBlks = "jbd.checkpoint_blks" // blocks checkpointed to home location
+	JournalCommit        = "jbd.commit"              // journal transactions committed
+	JournalBlocks        = "jbd.log_blocks"          // log (data) blocks written to journal
+	JournalMeta          = "jbd.meta_blocks"         // descriptor/commit/revoke blocks
+	JournalCkptBlks      = "jbd.checkpoint_blks"     // blocks checkpointed to home location
 
 	// Destage counters (charged by internal/core's background destager).
 	// DestageQueueDepth is used as a gauge: +1 on enqueue, -1 on dequeue.
@@ -151,7 +151,7 @@ func RingQueueDepthName(r int) string { return fmt.Sprintf("ring.queue_depth.%d"
 // internal/core's group-commit pipeline (one sample per seal per phase);
 // jbd.* by the Classic journal; fs.* by the file-system operation layer.
 const (
-	// Group-commit seal phases (internal/core/group.go).
+	// Group-commit seal phases (internal/core/seal.go).
 	HistCommitWait    = "commit.wait_ns"    // leader batch-formation wait
 	HistCommitAbsorb  = "commit.absorb_ns"  // plan/merge/allocate (phase 0)
 	HistCommitData    = "commit.data_ns"    // NVM data writes (phase A)
@@ -161,9 +161,6 @@ const (
 	HistCommitTail    = "commit.tail_ns"    // Tail flip + fence (phase E)
 	HistCommitSeal    = "commit.seal_ns"    // whole seal (phases 0–E)
 	HistCommitTotal   = "commit.total_ns"   // per-txn Commit latency (enqueue→ack)
-	// Multi-ring seals (internal/core/multiring.go): one sample per seal,
-	// whole per-ring (or cross-ring) seal duration.
-	HistCommitRingSeal = "commit.ring_seal_ns"
 
 	// Destager, evictor and recovery (internal/core).
 	HistDestageWrite = "destage.write_ns" // one queued block written back
@@ -191,9 +188,9 @@ const (
 
 	// Object store and tier (internal/objstore): per-request GET/PUT
 	// service time and whole upload batches (RMW read + PUT + meta clean).
-	HistObjGet         = "objstore.get_ns"
-	HistObjPut         = "objstore.put_ns"
-	HistTierUploadObj  = "tier.upload_obj_ns"
+	HistObjGet        = "objstore.get_ns"
+	HistObjPut        = "objstore.put_ns"
+	HistTierUploadObj = "tier.upload_obj_ns"
 
 	// Classic journal commit phases (internal/jbd).
 	HistJBDLog        = "jbd.log_ns"        // descriptor + log + revoke writes

@@ -83,7 +83,7 @@ func (k Kind) String() string {
 //
 // The Tinca cache's knobs are the embedded core.Options, declared once
 // and promoted: cfg.RingBytes, cfg.GroupCommit, cfg.IndexBuckets,
-// cfg.DisableZeroCopy and the rest read and write the embedded struct
+// cfg.SyncMapIndex and the rest read and write the embedded struct
 // directly, so existing field-access code keeps working. (Composite
 // literals name the embedded struct: Config{Options: core.Options{...}}.)
 // Two of the embedded knobs apply beyond the Tinca kind: WriteThrough
@@ -174,8 +174,8 @@ func (c Config) Validate() error {
 	if c.Kind != Tinca && c.SealHook != nil {
 		return fmt.Errorf("stack: SealHook applies only to the Tinca kind, not %v", c.Kind)
 	}
-	if c.Kind != Tinca && (c.IndexBuckets != 0 || c.SyncMapIndex || c.DisableZeroCopy) {
-		return fmt.Errorf("stack: IndexBuckets/SyncMapIndex/DisableZeroCopy apply only to the Tinca kind, not %v", c.Kind)
+	if c.Kind != Tinca && (c.IndexBuckets != 0 || c.SyncMapIndex) {
+		return fmt.Errorf("stack: IndexBuckets/SyncMapIndex apply only to the Tinca kind, not %v", c.Kind)
 	}
 	if c.Kind != Tinca && c.FlightRecorder {
 		return fmt.Errorf("stack: FlightRecorder applies only to the Tinca kind, not %v", c.Kind)
