@@ -1,10 +1,16 @@
-// Package bufpool recycles the 4KB block-sized scratch buffers the cache
-// layers burn through on every miss fill, eviction write-back, destage and
-// checkpoint. The simulated devices copy into or out of the buffer
+// Package bufpool recycles 4KB block-sized scratch buffers: the core
+// cache's miss fills, eviction write-backs, destages, checkpoints and
+// copying read views; the object tier's fetch and upload paths; the JBD
+// journal's descriptor and replay blocks; and the file system's private
+// view copies. The simulated devices copy into or out of the buffer
 // synchronously, so a buffer's lifetime never outlives the call that
 // borrowed it — exactly the shape sync.Pool wants. Callers must not keep a
-// reference after Put, and must not Put a buffer they did not Get (the
-// pool assumes every buffer is exactly BlockSize long).
+// reference after Put, and must not Put a buffer they did not Get.
+//
+// The pool holds *[BlockSize]byte, so a Get+Put round trip allocates
+// nothing: converting the slice back to an array pointer is free, whereas
+// pooling *[]byte would move a fresh slice header to the heap on every
+// Put.
 package bufpool
 
 import "sync"
@@ -13,16 +19,13 @@ import "sync"
 const BlockSize = 4096
 
 var pool = sync.Pool{
-	New: func() any {
-		b := make([]byte, BlockSize)
-		return &b
-	},
+	New: func() any { return new([BlockSize]byte) },
 }
 
 // Get borrows a BlockSize scratch buffer. Contents are arbitrary (the
 // previous user's data); overwrite before reading.
 func Get() []byte {
-	return *pool.Get().(*[]byte)
+	return pool.Get().(*[BlockSize]byte)[:]
 }
 
 // Put returns a buffer obtained from Get. Putting a slice of the wrong
@@ -31,5 +34,5 @@ func Put(b []byte) {
 	if len(b) != BlockSize {
 		panic("bufpool: Put of non-BlockSize buffer")
 	}
-	pool.Put(&b)
+	pool.Put((*[BlockSize]byte)(b))
 }

@@ -66,7 +66,9 @@ type ViewReader interface {
 
 // BackendTxn is one atomic batch of block updates.
 type BackendTxn interface {
-	// Write stages the new contents of block no (BlockSize bytes, copied).
+	// Write stages the new contents of block no (BlockSize bytes). It
+	// must copy data: the file system recycles the buffer once Commit
+	// returns.
 	Write(no uint64, data []byte)
 	// Revoke declares that block no was freed by this transaction
 	// (truncate/unlink): a journal must not resurrect its old contents

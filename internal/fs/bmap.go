@@ -59,8 +59,9 @@ func (c *opCtx) bmap(in inode, l uint64, alloc bool) (inode, uint64, error) {
 
 // indirectSlot reads pointer slot idx of indirect block ind, allocating a
 // data (or next-level indirect) block into the slot when alloc is set.
+// It reads into the ib scratch block, which nothing it calls touches.
 func (c *opCtx) indirectSlot(ind, idx uint64, alloc bool) (uint64, error) {
-	buf := make([]byte, BlockSize)
+	buf := c.ib[:]
 	if err := c.readBlock(ind, buf); err != nil {
 		return 0, err
 	}
@@ -84,7 +85,7 @@ func (c *opCtx) allocZeroedBlock() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.writeBlock(blk, make([]byte, BlockSize))
+	c.writeBlock(blk, zeroBlock[:])
 	return blk, nil
 }
 
@@ -112,9 +113,11 @@ func (c *opCtx) freeFileBlocks(in inode) error {
 }
 
 // freeIndirect frees an indirect block of the given depth and everything
-// it references.
+// it references. The recursion needs a buffer per level, drawn from the
+// free list.
 func (c *opCtx) freeIndirect(blk uint64, depth int) error {
-	buf := make([]byte, BlockSize)
+	buf := c.f.getBuf()
+	defer c.f.putBuf(buf)
 	if err := c.readBlock(blk, buf); err != nil {
 		return err
 	}

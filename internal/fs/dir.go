@@ -29,34 +29,69 @@ func encodeDirent(b []byte, ino uint64, name string) {
 	copy(b[direntNameOff:], name)
 }
 
-func direntName(b []byte) string {
+// direntNameBytes returns dirent b's name bytes, in place.
+func direntNameBytes(b []byte) []byte {
 	n := int(b[direntLenOff])
 	if n > maxNameLen {
 		n = maxNameLen
 	}
-	return string(b[direntNameOff : direntNameOff+n])
+	return b[direntNameOff : direntNameOff+n]
 }
+
+func direntName(b []byte) string { return string(direntNameBytes(b)) }
 
 // splitPath normalizes a slash-separated absolute or relative path into
 // components. Empty components are dropped; "." and ".." are rejected (the
 // file system has no per-directory dot entries).
 func splitPath(path string) ([]string, error) {
-	parts := strings.Split(path, "/")
-	out := parts[:0]
-	for _, p := range parts {
-		switch p {
-		case "", ".":
-			continue
-		case "..":
-			return nil, ErrBadPath
-		}
-		if len(p) > maxNameLen {
-			return nil, ErrNameLen
-		}
-		out = append(out, p)
+	n, err := checkPath(path)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, 0, n)
+	for name, i := nextComponent(path, 0); name != ""; name, i = nextComponent(path, i) {
+		out = append(out, name)
 	}
 	return out, nil
 }
+
+// nextComponent returns the first component of path at or after byte i
+// that splitPath keeps (empty and "." components are skipped), and the
+// index just past it. name is "" once no component is left. It builds
+// nothing: the name is a substring of path.
+func nextComponent(path string, i int) (name string, next int) {
+	for i < len(path) {
+		end := len(path)
+		if j := strings.IndexByte(path[i:], '/'); j >= 0 {
+			end = i + j
+		}
+		name, i = path[i:end], end+1
+		if name != "" && name != "." {
+			return name, i
+		}
+	}
+	return "", len(path)
+}
+
+// checkPath applies splitPath's rules to every component of path, in
+// order, and returns the component count. Callers validate the whole path
+// before walking it, so a bad component fails before any lookup.
+func checkPath(path string) (int, error) {
+	n := 0
+	for name, i := nextComponent(path, 0); name != ""; name, i = nextComponent(path, i) {
+		if name == ".." {
+			return 0, ErrBadPath
+		}
+		if len(name) > maxNameLen {
+			return 0, ErrNameLen
+		}
+		n++
+	}
+	return n, nil
+}
+
+// direntIs reports whether dirent rec holds name (without allocating).
+func direntIs(rec []byte, name string) bool { return string(direntNameBytes(rec)) == name }
 
 // lookupDir finds name within directory inode dirIno, returning the child
 // inode number, or 0 when absent.
@@ -69,7 +104,7 @@ func (c *opCtx) lookupDir(dirIno uint64, name string) (uint64, error) {
 		return 0, ErrNotDir
 	}
 	nblocks := (din.size + BlockSize - 1) / BlockSize
-	buf := make([]byte, BlockSize)
+	buf := c.db[:]
 	for l := uint64(0); l < nblocks; l++ {
 		_, phys, err := c.bmap(din, l, false)
 		if err != nil {
@@ -84,7 +119,7 @@ func (c *opCtx) lookupDir(dirIno uint64, name string) (uint64, error) {
 		for i := 0; i < direntsPerBlk; i++ {
 			rec := buf[i*direntSize : (i+1)*direntSize]
 			ino := binary.LittleEndian.Uint64(rec[direntInoOff:])
-			if ino != 0 && direntName(rec) == name {
+			if ino != 0 && direntIs(rec, name) {
 				return ino, nil
 			}
 		}
@@ -105,12 +140,11 @@ func (c *opCtx) resolveDepth(path string, depth int) (uint64, error) {
 	if depth > maxSymlinkDepth {
 		return 0, ErrLinkLoop
 	}
-	parts, err := splitPath(path)
-	if err != nil {
+	if _, err := checkPath(path); err != nil {
 		return 0, err
 	}
 	ino := uint64(rootIno)
-	for _, name := range parts {
+	for name, i := nextComponent(path, 0); name != ""; name, i = nextComponent(path, i) {
 		child, err := c.lookupDir(ino, name)
 		if err != nil {
 			return 0, err
@@ -147,25 +181,25 @@ func (c *opCtx) readLinkTarget(in inode) (string, error) {
 	if in.direct[0] == 0 {
 		return "", ErrBadPath
 	}
-	buf := make([]byte, BlockSize)
-	if err := c.readBlock(in.direct[0], buf); err != nil {
+	if err := c.readBlock(in.direct[0], c.db[:]); err != nil {
 		return "", err
 	}
-	return string(buf[:in.size]), nil
+	return string(c.db[:in.size]), nil
 }
 
 // resolveParent returns the inode of path's parent directory and the final
 // component name.
 func (c *opCtx) resolveParent(path string) (uint64, string, error) {
-	parts, err := splitPath(path)
+	n, err := checkPath(path)
 	if err != nil {
 		return 0, "", err
 	}
-	if len(parts) == 0 {
+	if n == 0 {
 		return 0, "", ErrBadPath
 	}
 	ino := uint64(rootIno)
-	for _, name := range parts[:len(parts)-1] {
+	name, i := nextComponent(path, 0)
+	for ; n > 1; n-- {
 		child, err := c.lookupDir(ino, name)
 		if err != nil {
 			return 0, "", err
@@ -174,8 +208,9 @@ func (c *opCtx) resolveParent(path string) (uint64, string, error) {
 			return 0, "", ErrNotExist
 		}
 		ino = child
+		name, i = nextComponent(path, i)
 	}
-	return ino, parts[len(parts)-1], nil
+	return ino, name, nil
 }
 
 // addDirent inserts (name -> ino) into directory dirIno, reusing a free
@@ -189,7 +224,7 @@ func (c *opCtx) addDirent(dirIno, ino uint64, name string) error {
 		return ErrNotDir
 	}
 	nblocks := (din.size + BlockSize - 1) / BlockSize
-	buf := make([]byte, BlockSize)
+	buf := c.db[:]
 	for l := uint64(0); l < nblocks; l++ {
 		_, phys, err := c.bmap(din, l, false)
 		if err != nil {
@@ -216,9 +251,7 @@ func (c *opCtx) addDirent(dirIno, ino uint64, name string) error {
 		return err
 	}
 	din = din2
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	encodeDirent(buf[:direntSize], ino, name)
 	c.writeBlock(phys, buf)
 	din.size = (nblocks + 1) * BlockSize
@@ -237,7 +270,7 @@ func (c *opCtx) removeDirent(dirIno uint64, name string) (uint64, error) {
 		return 0, ErrNotDir
 	}
 	nblocks := (din.size + BlockSize - 1) / BlockSize
-	buf := make([]byte, BlockSize)
+	buf := c.db[:]
 	for l := uint64(0); l < nblocks; l++ {
 		_, phys, err := c.bmap(din, l, false)
 		if err != nil {
@@ -252,10 +285,8 @@ func (c *opCtx) removeDirent(dirIno uint64, name string) (uint64, error) {
 		for i := 0; i < direntsPerBlk; i++ {
 			rec := buf[i*direntSize : (i+1)*direntSize]
 			ino := binary.LittleEndian.Uint64(rec[direntInoOff:])
-			if ino != 0 && direntName(rec) == name {
-				for j := range rec {
-					rec[j] = 0
-				}
+			if ino != 0 && direntIs(rec, name) {
+				clear(rec)
 				c.writeBlock(phys, buf)
 				return ino, nil
 			}
@@ -274,7 +305,7 @@ func (c *opCtx) listDir(dirIno uint64) ([]string, error) {
 		return nil, ErrNotDir
 	}
 	nblocks := (din.size + BlockSize - 1) / BlockSize
-	buf := make([]byte, BlockSize)
+	buf := c.db[:]
 	var names []string
 	for l := uint64(0); l < nblocks; l++ {
 		_, phys, err := c.bmap(din, l, false)

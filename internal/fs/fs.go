@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -98,6 +97,12 @@ type FS struct {
 
 	// Page cache: committed block contents (DRAM, free to read).
 	pageCache *pageCache
+
+	// ctxPool recycles operation contexts (beginOp/endOp); freeBufs
+	// recycles block buffers for overlays, refilled from committed staged
+	// blocks (getBuf/putBuf, exclusive lock only).
+	ctxPool  sync.Pool
+	freeBufs [][]byte
 
 	lastCommit int64 // simulated ns of the last group commit
 
@@ -339,12 +344,21 @@ func (f *FS) stageBitmapMirror(ctx *opCtx) {
 // mid-way is discarded wholesale: overlay dropped, bitmap-mirror changes
 // undone. A successful operation merges its overlay into the group
 // transaction.
+//
+// Contexts are pooled per FS (beginOp/endOp), so a steady-state operation
+// allocates none of this. ib and db are the context's two scratch blocks
+// (DESIGN.md, "Allocation-free FS op path"): ib backs the short-lived
+// metadata reads that decode and return (readInode, indirectSlot); db is
+// the loop buffer of a directory or data walk, whose body calls bmap — and
+// so indirectSlot and ib — on every iteration. Neither ever reaches the
+// overlay: writeBlock copies.
 type opCtx struct {
 	f       *FS
 	overlay map[uint64][]byte
 	seq     []uint64
 	undo    []bitmapUndo
 	freed   []uint64 // data blocks this operation freed
+	ib, db  [BlockSize]byte
 }
 
 type bitmapUndo struct {
@@ -354,7 +368,40 @@ type bitmapUndo struct {
 }
 
 func (f *FS) beginOp() *opCtx {
+	if c, ok := f.ctxPool.Get().(*opCtx); ok {
+		return c
+	}
 	return &opCtx{f: f, overlay: make(map[uint64][]byte)}
+}
+
+// endOp returns a context to the pool, emptied. The overlay's buffers
+// must already have been merged into the group transaction or recycled.
+func (f *FS) endOp(c *opCtx) {
+	clear(c.overlay)
+	c.seq, c.undo, c.freed = c.seq[:0], c.undo[:0], c.freed[:0]
+	f.ctxPool.Put(c)
+}
+
+// maxFreeBufs bounds the FS's free list of block buffers (1MB).
+const maxFreeBufs = 256
+
+// getBuf returns a block buffer with arbitrary contents, recycled from
+// committed staged blocks when one is free. Caller holds f.mu exclusively.
+func (f *FS) getBuf() []byte {
+	if n := len(f.freeBufs); n > 0 {
+		b := f.freeBufs[n-1]
+		f.freeBufs = f.freeBufs[:n-1]
+		return b
+	}
+	return make([]byte, BlockSize)
+}
+
+// putBuf recycles a block buffer nothing references any more. Caller
+// holds f.mu exclusively.
+func (f *FS) putBuf(b []byte) {
+	if len(f.freeBufs) < maxFreeBufs {
+		f.freeBufs = append(f.freeBufs, b)
+	}
 }
 
 // runOp executes one operation body atomically with respect to the group
@@ -418,7 +465,9 @@ func (f *FS) runRead(body func(*opCtx) error) error {
 		t0 := int64(f.opts.Clock.Now())
 		defer func() { f.hRead.Record(int64(f.opts.Clock.Now()) - t0) }()
 	}
-	return body(f.beginOp())
+	ctx := f.beginOp()
+	defer f.endOp(ctx)
+	return body(ctx)
 }
 
 func (f *FS) runOpLocked(force bool, body func(*opCtx) error) error {
@@ -431,6 +480,7 @@ func (f *FS) runOpLocked(force bool, body func(*opCtx) error) error {
 		defer func() { f.hWrite.Record(int64(f.opts.Clock.Now()) - t0) }()
 	}
 	ctx := f.beginOp()
+	defer f.endOp(ctx)
 	if err := body(ctx); err != nil {
 		// Roll back mirror mutations in reverse order; drop the overlay.
 		for i := len(ctx.undo) - 1; i >= 0; i-- {
@@ -462,6 +512,9 @@ func (f *FS) runOpLocked(force bool, body func(*opCtx) error) error {
 				}
 			}
 		}
+		for _, no := range ctx.seq {
+			f.putBuf(ctx.overlay[no])
+		}
 		return err
 	}
 	// Merge the overlay into the group transaction in write order. A
@@ -470,11 +523,11 @@ func (f *FS) runOpLocked(force bool, body func(*opCtx) error) error {
 		d := ctx.overlay[no]
 		delete(f.stagedRevokes, no)
 		if cur, ok := f.staged[no]; ok {
-			copy(cur, d)
+			f.putBuf(cur)
 		} else {
-			f.staged[no] = d
 			f.stagedSeq = append(f.stagedSeq, no)
 		}
+		f.staged[no] = d
 	}
 	for _, no := range ctx.freed {
 		f.stagedRevokes[no] = true
@@ -494,7 +547,9 @@ func (f *FS) commitTimerDue() bool {
 }
 
 // commitGroup pushes all staged blocks into one backend transaction.
-// Caller holds f.mu.
+// BackendTxn.Write copies, so once the commit succeeds the staged buffers
+// are free: their contents move to the page cache and the buffers to the
+// free list. Caller holds f.mu.
 func (f *FS) commitGroup() error {
 	if f.opts.Clock != nil {
 		f.lastCommit = int64(f.opts.Clock.Now())
@@ -517,11 +572,13 @@ func (f *FS) commitGroup() error {
 	}
 	f.nGroupCommits.Add(1)
 	for _, no := range f.stagedSeq {
-		f.pageCache.put(no, f.staged[no])
+		d := f.staged[no]
+		f.pageCache.put(no, d)
+		f.putBuf(d)
 	}
-	f.staged = make(map[uint64][]byte)
+	clear(f.staged)
 	f.stagedSeq = f.stagedSeq[:0]
-	f.stagedRevokes = make(map[uint64]bool)
+	clear(f.stagedRevokes)
 	return nil
 }
 
@@ -553,6 +610,8 @@ func (c *opCtx) readBlock(no uint64, p []byte) error {
 	return nil
 }
 
+// writeBlock stages a copy of data in the overlay, so callers may pass a
+// scratch buffer.
 func (c *opCtx) writeBlock(no uint64, data []byte) {
 	if len(data) != BlockSize {
 		panic("fs: writeBlock needs a full block")
@@ -561,20 +620,28 @@ func (c *opCtx) writeBlock(no uint64, data []byte) {
 		copy(d, data)
 		return
 	}
-	d := make([]byte, BlockSize)
+	d := c.f.getBuf()
 	copy(d, data)
 	c.overlay[no] = d
 	c.seq = append(c.seq, no)
 }
 
-// mutateBlock reads block no, lets fn edit it in place, and stages it.
+// mutateBlock reads block no, lets fn edit it in place, and stages it. A
+// block already in the overlay is edited there; otherwise the freshly
+// read buffer itself becomes the overlay copy.
 func (c *opCtx) mutateBlock(no uint64, fn func(b []byte)) error {
-	buf := make([]byte, BlockSize)
+	if d, ok := c.overlay[no]; ok {
+		fn(d)
+		return nil
+	}
+	buf := c.f.getBuf()
 	if err := c.readBlock(no, buf); err != nil {
+		c.f.putBuf(buf)
 		return err
 	}
 	fn(buf)
-	c.writeBlock(no, buf)
+	c.overlay[no] = buf
+	c.seq = append(c.seq, no)
 	return nil
 }
 
@@ -582,11 +649,10 @@ func (c *opCtx) mutateBlock(no uint64, fn func(b []byte)) error {
 
 func (c *opCtx) readInode(ino uint64) (inode, error) {
 	blk, off := c.f.g.inodeBlock(ino)
-	buf := make([]byte, BlockSize)
-	if err := c.readBlock(blk, buf); err != nil {
+	if err := c.readBlock(blk, c.ib[:]); err != nil {
 		return inode{}, err
 	}
-	return decodeInode(buf[off : off+inodeSize]), nil
+	return decodeInode(c.ib[off : off+inodeSize]), nil
 }
 
 func (c *opCtx) writeInode(ino uint64, in inode) error {
@@ -689,55 +755,109 @@ func (c *opCtx) freeInode(ino uint64) error {
 // the OS page cache. It has its own lock (get reorders the LRU list, so
 // even lookups mutate) because readers holding only the FS read lock use
 // it concurrently.
+//
+// It is a slab: block contents live in fixed slots carved from arena
+// chunks, the LRU order is an intrusive ring of int32 slot links, and the
+// index maps a block number to its slot, so a steady-state get or put
+// allocates nothing. Hit promotion and victim choice are exactly those of
+// a list-based LRU (front = most recently used; a put into a full cache
+// evicts the back), which matters because every miss reaches the backend
+// and is charged simulated time.
 type pageCache struct {
-	mu    sync.Mutex
-	max   int
-	items map[uint64]*list.Element
-	order *list.List // front = MRU
+	mu     sync.Mutex
+	max    int
+	slots  map[uint64]int32 // block -> slot
+	blocks []uint64         // slot -> block
+	// prev/next link the slots into the LRU ring. Slot 0 is the sentinel:
+	// its next is the MRU slot and its prev the LRU slot. Slots 1.. hold
+	// blocks and are added as the cache first fills.
+	prev, next []int32
+	chunks     [][]byte // slot s's bytes live in chunks[(s-1)/pcChunk]
 }
 
-type pcEntry struct {
-	no   uint64
-	data []byte
+// pcChunk is the number of block slots per arena chunk (256KB). The
+// arena grows a chunk at a time as slots are first used, so a small
+// mount never pays for its whole page cache.
+const pcChunk = 64
+
+func newPageCache(blocks int) *pageCache {
+	return &pageCache{
+		max:    blocks,
+		slots:  make(map[uint64]int32, min(max(blocks, 0), 4096)),
+		blocks: []uint64{0},
+		prev:   []int32{0},
+		next:   []int32{0},
+	}
 }
 
-func newPageCache(max int) *pageCache {
-	return &pageCache{max: max, items: make(map[uint64]*list.Element), order: list.New()}
+func (p *pageCache) data(s int32) []byte {
+	off := int((s-1)%pcChunk) * BlockSize
+	return p.chunks[(s-1)/pcChunk][off : off+BlockSize]
+}
+
+func (p *pageCache) unlink(s int32) {
+	p.next[p.prev[s]] = p.next[s]
+	p.prev[p.next[s]] = p.prev[s]
+}
+
+func (p *pageCache) pushFront(s int32) {
+	p.prev[s], p.next[s] = 0, p.next[0]
+	p.prev[p.next[0]] = s
+	p.next[0] = s
+}
+
+// slot returns a slot for a new block: a fresh one while the cache is
+// filling, else the LRU slot, evicting its block.
+func (p *pageCache) slot() int32 {
+	if len(p.slots) == p.max {
+		s := p.prev[0]
+		p.unlink(s)
+		delete(p.slots, p.blocks[s])
+		return s
+	}
+	s := int32(len(p.blocks))
+	p.blocks = append(p.blocks, 0)
+	p.prev = append(p.prev, 0)
+	p.next = append(p.next, 0)
+	if int(s-1)%pcChunk == 0 {
+		p.chunks = append(p.chunks, make([]byte, min(p.max-int(s-1), pcChunk)*BlockSize))
+	}
+	return s
 }
 
 func (p *pageCache) get(no uint64, out []byte) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	el, ok := p.items[no]
+	s, ok := p.slots[no]
 	if !ok {
 		return false
 	}
-	p.order.MoveToFront(el)
-	copy(out, el.Value.(*pcEntry).data)
+	p.unlink(s)
+	p.pushFront(s)
+	copy(out, p.data(s))
 	return true
 }
 
 func (p *pageCache) put(no uint64, data []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if el, ok := p.items[no]; ok {
-		copy(el.Value.(*pcEntry).data, data)
-		p.order.MoveToFront(el)
-		return
+	s, ok := p.slots[no]
+	if ok {
+		p.unlink(s)
+	} else {
+		if p.max <= 0 {
+			return
+		}
+		s = p.slot()
+		p.blocks[s] = no
+		p.slots[no] = s
 	}
-	d := make([]byte, BlockSize)
-	copy(d, data)
-	p.items[no] = p.order.PushFront(&pcEntry{no: no, data: d})
-	for len(p.items) > p.max {
-		back := p.order.Back()
-		e := back.Value.(*pcEntry)
-		p.order.Remove(back)
-		delete(p.items, e.no)
-	}
+	copy(p.data(s), data)
+	p.pushFront(s)
 }
 
 func (p *pageCache) len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.items)
+	return len(p.slots)
 }

@@ -20,6 +20,7 @@ func (f *FS) Check() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ctx := f.beginOp()
+	defer f.endOp(ctx)
 
 	// 1. Bitmap mirrors match persistent bitmaps.
 	if err := f.checkBitmap(ctx, f.g.blockBitmapStart, f.blockBitmap, f.g.totalBlocks, "block"); err != nil {

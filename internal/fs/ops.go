@@ -175,8 +175,8 @@ func (f *FS) Symlink(target, linkPath string) error {
 		if err != nil {
 			return err
 		}
-		buf := make([]byte, BlockSize)
-		copy(buf, target)
+		buf := ctx.db[:]
+		clear(buf[copy(buf, target):])
 		ctx.writeBlock(blk, buf)
 		in := inode{mode: ModeSymlink, nlink: 1, size: uint64(len(target)), mtime: f.now()}
 		in.direct[0] = blk
@@ -321,7 +321,6 @@ func (f *FS) WriteAt(path string, off uint64, data []byte) error {
 func (c *opCtx) writeRange(in *inode, off uint64, data []byte) error {
 	pos := off
 	remaining := data
-	buf := make([]byte, BlockSize)
 	for len(remaining) > 0 {
 		l := pos / BlockSize
 		bo := int(pos % BlockSize)
@@ -334,14 +333,10 @@ func (c *opCtx) writeRange(in *inode, off uint64, data []byte) error {
 			return err
 		}
 		*in = in2
-		if bo == 0 && n == BlockSize {
+		if n == BlockSize {
 			c.writeBlock(phys, remaining[:BlockSize])
-		} else {
-			if err := c.readBlock(phys, buf); err != nil {
-				return err
-			}
-			copy(buf[bo:], remaining[:n])
-			c.writeBlock(phys, buf)
+		} else if err := c.mutateBlock(phys, func(b []byte) { copy(b[bo:], remaining[:n]) }); err != nil {
+			return err
 		}
 		pos += uint64(n)
 		remaining = remaining[n:]
@@ -398,7 +393,7 @@ func (f *FS) ReadAt(path string, off uint64, p []byte) (int, error) {
 		if off+want > in.size {
 			want = in.size - off
 		}
-		buf := make([]byte, BlockSize)
+		buf := ctx.db[:]
 		for read < want {
 			pos := off + read
 			l := pos / BlockSize
@@ -411,11 +406,16 @@ func (f *FS) ReadAt(path string, off uint64, p []byte) (int, error) {
 			if err != nil {
 				return err
 			}
-			if phys == 0 {
-				for i := uint64(0); i < n; i++ {
-					p[read+i] = 0
+			switch {
+			case phys == 0:
+				clear(p[read : read+n])
+			case n == BlockSize:
+				// A whole aligned block goes straight into the caller's
+				// slice (bo is 0 whenever n is a full block).
+				if err := ctx.readBlock(phys, p[read:read+n]); err != nil {
+					return err
 				}
-			} else {
+			default:
 				if err := ctx.readBlock(phys, buf); err != nil {
 					return err
 				}

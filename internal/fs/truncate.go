@@ -55,8 +55,11 @@ func (c *opCtx) punchFrom(in *inode, keep uint64) error {
 // whether the block is empty afterwards. depth 1 slots hold data
 // pointers; depth 2 slots hold depth-1 indirect blocks, each covering
 // ptrsPerBlock indices.
+//
+// The recursion needs a buffer per level, drawn from the free list.
 func (c *opCtx) punchIndirect(blk, startIdx uint64, depth int) (bool, error) {
-	buf := make([]byte, BlockSize)
+	buf := c.f.getBuf()
+	defer c.f.putBuf(buf)
 	if err := c.readBlock(blk, buf); err != nil {
 		return false, err
 	}

@@ -13,16 +13,20 @@ import "fmt"
 //     ring position) with a plausible line count;
 //   - every order line of a live order is well-formed (quantity 1..10,
 //     amount = qty*100, item within range);
-//   - delivered orders carry a carrier id, undelivered ones do not.
+//   - undelivered orders carry no carrier id;
+//   - per warehouse: W_YTD equals the sum of its districts' D_YTD (TPC-C
+//     consistency condition 1; Payment adds the amount to both).
 func (e *Engine) CheckConsistency() error {
 	cfg := e.cfg
 	for w := 0; w < cfg.Warehouses; w++ {
+		var distYTD uint64
 		for d := 0; d < districtsPerWH; d++ {
-			db, err := e.readRec(cfg.districtTbl(), cfg.distOff(w, d), distSize)
+			db, err := e.readRec(e.t.district, cfg.distOff(w, d), e.distBuf[:])
 			if err != nil {
 				return err
 			}
 			dist := decodeDistrict(db)
+			distYTD += dist.ytd
 			if dist.deliveredOID > dist.nextOID {
 				return fmt.Errorf("oltp: district (%d,%d): delivered %d > next %d",
 					w, d, dist.deliveredOID, dist.nextOID)
@@ -37,7 +41,7 @@ func (e *Engine) CheckConsistency() error {
 				start = 0
 			}
 			for o := start; o < int64(dist.nextOID); o++ {
-				ob, err := e.readRec(cfg.orderTbl(), cfg.orderOff(w, d, int(o)), orderSize)
+				ob, err := e.readRec(e.t.order, cfg.orderOff(w, d, int(o)), e.ordBuf[:])
 				if err != nil {
 					return err
 				}
@@ -59,7 +63,7 @@ func (e *Engine) CheckConsistency() error {
 					return fmt.Errorf("oltp: undelivered order (%d,%d,%d) has carrier %d", w, d, o, ord.carrierID)
 				}
 				for l := 0; l < int(ord.olCount); l++ {
-					olb, err := e.readRec(cfg.orderlineTbl(), cfg.olOff(w, d, int(o), l), olSize)
+					olb, err := e.readRec(e.t.orderline, cfg.olOff(w, d, int(o), l), e.olBuf[:])
 					if err != nil {
 						return err
 					}
@@ -75,6 +79,13 @@ func (e *Engine) CheckConsistency() error {
 					}
 				}
 			}
+		}
+		wb, err := e.readRec(e.t.warehouse, cfg.whOff(w), e.whBuf[:])
+		if err != nil {
+			return err
+		}
+		if ytd := decodeWarehouse(wb).ytd; ytd != distYTD {
+			return fmt.Errorf("oltp: warehouse %d: W_YTD %d != sum of D_YTD %d", w, ytd, distYTD)
 		}
 	}
 	return nil

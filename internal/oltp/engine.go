@@ -9,10 +9,25 @@ import (
 	"tinca/internal/workload"
 )
 
-// Engine is a loaded TPC-C database over a FileAPI.
+// Engine is a loaded TPC-C database over a FileAPI. An Engine is
+// single-goroutine: it owns its skew generator (zr) and one record buffer
+// per table that every transaction reuses, so its methods must not run
+// concurrently.
 type Engine struct {
 	f   workload.FileAPI
 	cfg Config
+	t   tablePaths
+
+	// Record buffers, one per table; readRec fills them in place, so a
+	// record's bytes stay valid only until the next read of that table.
+	whBuf   [whSize]byte
+	distBuf [distSize]byte
+	custBuf [custSize]byte
+	stBuf   [stockSize]byte
+	itemBuf [itemSize]byte
+	ordBuf  [orderSize]byte
+	olBuf   [olSize]byte
+	histBuf [histSize]byte
 
 	// Skewed record selection (TPC-C's NURand makes some customers and
 	// items hot; a Zipf draw reproduces that locality, which is what
@@ -26,7 +41,7 @@ type Engine struct {
 // is excluded from measurement by snapshotting metrics afterwards.
 func Load(f workload.FileAPI, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	e := &Engine{f: f, cfg: cfg}
+	e := &Engine{f: f, cfg: cfg, t: cfg.tables()}
 	if err := f.Mkdir(cfg.Dir); err != nil && err != fs.ErrExist {
 		return nil, err
 	}
@@ -65,43 +80,43 @@ func Load(f workload.FileAPI, cfg Config) (*Engine, error) {
 		size uint64
 	}
 	tables := []tbl{
-		{cfg.warehouseTbl(), uint64(W) * whSize},
-		{cfg.districtTbl(), uint64(W*districtsPerWH) * distSize},
-		{cfg.customerTbl(), uint64(W*districtsPerWH*C) * custSize},
-		{cfg.stockTbl(), uint64(W*I) * stockSize},
-		{cfg.itemTbl(), uint64(I) * itemSize},
-		{cfg.orderTbl(), uint64(W*districtsPerWH*M) * orderSize},
-		{cfg.orderlineTbl(), uint64(W*districtsPerWH*M*maxOLPerOrder) * olSize},
+		{e.t.warehouse, uint64(W) * whSize},
+		{e.t.district, uint64(W*districtsPerWH) * distSize},
+		{e.t.customer, uint64(W*districtsPerWH*C) * custSize},
+		{e.t.stock, uint64(W*I) * stockSize},
+		{e.t.item, uint64(I) * itemSize},
+		{e.t.order, uint64(W*districtsPerWH*M) * orderSize},
+		{e.t.orderline, uint64(W*districtsPerWH*M*maxOLPerOrder) * olSize},
 	}
 	for _, t := range tables {
 		if err := create(t.path, t.size); err != nil {
 			return nil, fmt.Errorf("oltp: load %s: %w", t.path, err)
 		}
 	}
-	if err := f.Create(cfg.historyTbl()); err != nil && err != fs.ErrExist {
+	if err := f.Create(e.t.history); err != nil && err != fs.ErrExist {
 		return nil, err
 	}
 
 	// Initialize districts (order rings start at id 0) and stock levels.
-	buf := make([]byte, distSize)
+	buf := e.distBuf[:]
 	for w := 0; w < W; w++ {
 		for d := 0; d < districtsPerWH; d++ {
 			encodeDistrict(district{nextOID: 0, deliveredOID: 0, ytd: 0, tax: 8}, buf)
-			if err := f.WriteAt(cfg.districtTbl(), cfg.distOff(w, d), buf); err != nil {
+			if err := f.WriteAt(e.t.district, cfg.distOff(w, d), buf); err != nil {
 				return nil, err
 			}
 		}
 	}
-	sbuf := make([]byte, stockSize)
+	sbuf := e.stBuf[:]
 	for w := 0; w < W; w++ {
 		for i := 0; i < I; i++ {
 			encodeStock(stock{qty: 50 + uint64(i%50)}, sbuf)
-			if err := f.WriteAt(cfg.stockTbl(), cfg.stockOff(w, i), sbuf); err != nil {
+			if err := f.WriteAt(e.t.stock, cfg.stockOff(w, i), sbuf); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := f.Fsync(cfg.districtTbl()); err != nil {
+	if err := f.Fsync(e.t.district); err != nil {
 		return nil, err
 	}
 	e.zr = sim.NewRand(cfg.Seed + 7)
@@ -132,8 +147,9 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // ---- record access helpers ----------------------------------------------
 
-func (e *Engine) readRec(path string, off uint64, size int) ([]byte, error) {
-	b := make([]byte, size)
+// readRec reads the record at off of the table at path into b, one of
+// the engine's record buffers, and returns b.
+func (e *Engine) readRec(path string, off uint64, b []byte) ([]byte, error) {
 	if _, err := e.f.ReadAt(path, off, b); err != nil {
 		return nil, err
 	}
@@ -154,10 +170,10 @@ func (e *Engine) NewOrder(r *rand.Rand) error {
 	cu := e.pickCustomer()
 
 	// Read customer (credit check) and district; assign the order id.
-	if _, err := e.readRec(cfg.customerTbl(), cfg.custOff(w, d, cu), custSize); err != nil {
+	if _, err := e.readRec(e.t.customer, cfg.custOff(w, d, cu), e.custBuf[:]); err != nil {
 		return err
 	}
-	db, err := e.readRec(cfg.districtTbl(), cfg.distOff(w, d), distSize)
+	db, err := e.readRec(e.t.district, cfg.distOff(w, d), e.distBuf[:])
 	if err != nil {
 		return err
 	}
@@ -169,18 +185,20 @@ func (e *Engine) NewOrder(r *rand.Rand) error {
 		dist.deliveredOID = dist.nextOID - uint64(cfg.MaxOrders)
 	}
 	encodeDistrict(dist, db)
-	if err := e.writeRec(cfg.districtTbl(), cfg.distOff(w, d), db); err != nil {
+	if err := e.writeRec(e.t.district, cfg.distOff(w, d), db); err != nil {
 		return err
 	}
 
 	nLines := 5 + r.Intn(11)
-	ob := make([]byte, orderSize)
+	ob := e.ordBuf[:]
+	clear(ob)
 	encodeOrder(order{oid: oid, cid: uint64(cu), olCount: uint64(nLines)}, ob)
-	if err := e.writeRec(cfg.orderTbl(), cfg.orderOff(w, d, int(oid)), ob); err != nil {
+	if err := e.writeRec(e.t.order, cfg.orderOff(w, d, int(oid)), ob); err != nil {
 		return err
 	}
 
-	olb := make([]byte, olSize)
+	olb := e.olBuf[:]
+	clear(olb)
 	for l := 0; l < nLines; l++ {
 		item := e.pickItem()
 		// 1% of lines are remote-warehouse accesses, per TPC-C.
@@ -188,10 +206,10 @@ func (e *Engine) NewOrder(r *rand.Rand) error {
 		if cfg.Warehouses > 1 && r.Intn(100) == 0 {
 			sw = (w + 1 + r.Intn(cfg.Warehouses-1)) % cfg.Warehouses
 		}
-		if _, err := e.readRec(cfg.itemTbl(), cfg.itemOff(item), itemSize); err != nil {
+		if _, err := e.readRec(e.t.item, cfg.itemOff(item), e.itemBuf[:]); err != nil {
 			return err
 		}
-		sb, err := e.readRec(cfg.stockTbl(), cfg.stockOff(sw, item), stockSize)
+		sb, err := e.readRec(e.t.stock, cfg.stockOff(sw, item), e.stBuf[:])
 		if err != nil {
 			return err
 		}
@@ -205,15 +223,15 @@ func (e *Engine) NewOrder(r *rand.Rand) error {
 		st.ytd += qty
 		st.orderCnt++
 		encodeStock(st, sb)
-		if err := e.writeRec(cfg.stockTbl(), cfg.stockOff(sw, item), sb); err != nil {
+		if err := e.writeRec(e.t.stock, cfg.stockOff(sw, item), sb); err != nil {
 			return err
 		}
 		encodeOrderLine(orderLine{itemID: uint64(item), qty: qty, amount: qty * 100}, olb)
-		if err := e.writeRec(cfg.orderlineTbl(), cfg.olOff(w, d, int(oid), l), olb); err != nil {
+		if err := e.writeRec(e.t.orderline, cfg.olOff(w, d, int(oid), l), olb); err != nil {
 			return err
 		}
 	}
-	return e.f.Fsync(cfg.districtTbl())
+	return e.f.Fsync(e.t.district)
 }
 
 // Payment records a customer payment (43% of the mix).
@@ -224,32 +242,29 @@ func (e *Engine) Payment(r *rand.Rand) error {
 	cu := e.pickCustomer()
 	amount := uint64(100 + r.Intn(500000))
 
-	wb, err := e.readRec(cfg.warehouseTbl(), cfg.whOff(w), whSize)
+	wb, err := e.readRec(e.t.warehouse, cfg.whOff(w), e.whBuf[:])
 	if err != nil {
 		return err
 	}
-	// Warehouse YTD lives in the first 8 bytes.
-	ytd := uint64(wb[0]) | uint64(wb[1])<<8
-	_ = ytd
-	for i := 0; i < 8; i++ {
-		wb[i] = byte(amount >> (8 * i))
-	}
-	if err := e.writeRec(cfg.warehouseTbl(), cfg.whOff(w), wb); err != nil {
+	wh := decodeWarehouse(wb)
+	wh.ytd += amount
+	encodeWarehouse(wh, wb)
+	if err := e.writeRec(e.t.warehouse, cfg.whOff(w), wb); err != nil {
 		return err
 	}
 
-	db, err := e.readRec(cfg.districtTbl(), cfg.distOff(w, d), distSize)
+	db, err := e.readRec(e.t.district, cfg.distOff(w, d), e.distBuf[:])
 	if err != nil {
 		return err
 	}
 	dist := decodeDistrict(db)
 	dist.ytd += amount
 	encodeDistrict(dist, db)
-	if err := e.writeRec(cfg.districtTbl(), cfg.distOff(w, d), db); err != nil {
+	if err := e.writeRec(e.t.district, cfg.distOff(w, d), db); err != nil {
 		return err
 	}
 
-	cb, err := e.readRec(cfg.customerTbl(), cfg.custOff(w, d, cu), custSize)
+	cb, err := e.readRec(e.t.customer, cfg.custOff(w, d, cu), e.custBuf[:])
 	if err != nil {
 		return err
 	}
@@ -258,16 +273,17 @@ func (e *Engine) Payment(r *rand.Rand) error {
 	cust.ytd += amount
 	cust.payments++
 	encodeCustomer(cust, cb)
-	if err := e.writeRec(cfg.customerTbl(), cfg.custOff(w, d, cu), cb); err != nil {
+	if err := e.writeRec(e.t.customer, cfg.custOff(w, d, cu), cb); err != nil {
 		return err
 	}
 
-	hb := make([]byte, histSize)
+	hb := e.histBuf[:]
+	clear(hb)
 	encodeOrderLine(orderLine{itemID: uint64(cu), qty: amount, amount: amount}, hb)
-	if err := e.f.Append(cfg.historyTbl(), hb); err != nil {
+	if err := e.f.Append(e.t.history, hb); err != nil {
 		return err
 	}
-	return e.f.Fsync(cfg.districtTbl())
+	return e.f.Fsync(e.t.district)
 }
 
 // OrderStatus reads a customer's most recent order (4%, read-only).
@@ -276,10 +292,10 @@ func (e *Engine) OrderStatus(r *rand.Rand) error {
 	w := r.Intn(cfg.Warehouses)
 	d := r.Intn(districtsPerWH)
 	cu := e.pickCustomer()
-	if _, err := e.readRec(cfg.customerTbl(), cfg.custOff(w, d, cu), custSize); err != nil {
+	if _, err := e.readRec(e.t.customer, cfg.custOff(w, d, cu), e.custBuf[:]); err != nil {
 		return err
 	}
-	db, err := e.readRec(cfg.districtTbl(), cfg.distOff(w, d), distSize)
+	db, err := e.readRec(e.t.district, cfg.distOff(w, d), e.distBuf[:])
 	if err != nil {
 		return err
 	}
@@ -288,13 +304,13 @@ func (e *Engine) OrderStatus(r *rand.Rand) error {
 		return nil // no orders yet
 	}
 	oid := int(dist.nextOID - 1)
-	ob, err := e.readRec(cfg.orderTbl(), cfg.orderOff(w, d, oid), orderSize)
+	ob, err := e.readRec(e.t.order, cfg.orderOff(w, d, oid), e.ordBuf[:])
 	if err != nil {
 		return err
 	}
 	o := decodeOrder(ob)
 	for l := 0; l < int(o.olCount) && l < maxOLPerOrder; l++ {
-		if _, err := e.readRec(cfg.orderlineTbl(), cfg.olOff(w, d, oid, l), olSize); err != nil {
+		if _, err := e.readRec(e.t.orderline, cfg.olOff(w, d, oid, l), e.olBuf[:]); err != nil {
 			return err
 		}
 	}
@@ -307,7 +323,7 @@ func (e *Engine) Delivery(r *rand.Rand) error {
 	w := r.Intn(cfg.Warehouses)
 	delivered := false
 	for d := 0; d < districtsPerWH; d++ {
-		db, err := e.readRec(cfg.districtTbl(), cfg.distOff(w, d), distSize)
+		db, err := e.readRec(e.t.district, cfg.distOff(w, d), e.distBuf[:])
 		if err != nil {
 			return err
 		}
@@ -318,28 +334,28 @@ func (e *Engine) Delivery(r *rand.Rand) error {
 		oid := int(dist.deliveredOID)
 		dist.deliveredOID++
 		encodeDistrict(dist, db)
-		if err := e.writeRec(cfg.districtTbl(), cfg.distOff(w, d), db); err != nil {
+		if err := e.writeRec(e.t.district, cfg.distOff(w, d), db); err != nil {
 			return err
 		}
-		ob, err := e.readRec(cfg.orderTbl(), cfg.orderOff(w, d, oid), orderSize)
+		ob, err := e.readRec(e.t.order, cfg.orderOff(w, d, oid), e.ordBuf[:])
 		if err != nil {
 			return err
 		}
 		o := decodeOrder(ob)
 		o.carrierID = uint64(1 + r.Intn(10))
 		encodeOrder(o, ob)
-		if err := e.writeRec(cfg.orderTbl(), cfg.orderOff(w, d, oid), ob); err != nil {
+		if err := e.writeRec(e.t.order, cfg.orderOff(w, d, oid), ob); err != nil {
 			return err
 		}
 		total := uint64(0)
 		for l := 0; l < int(o.olCount) && l < maxOLPerOrder; l++ {
-			olb, err := e.readRec(cfg.orderlineTbl(), cfg.olOff(w, d, oid, l), olSize)
+			olb, err := e.readRec(e.t.orderline, cfg.olOff(w, d, oid, l), e.olBuf[:])
 			if err != nil {
 				return err
 			}
 			total += decodeOrderLine(olb).amount
 		}
-		cb, err := e.readRec(cfg.customerTbl(), cfg.custOff(w, d, int(o.cid)), custSize)
+		cb, err := e.readRec(e.t.customer, cfg.custOff(w, d, int(o.cid)), e.custBuf[:])
 		if err != nil {
 			return err
 		}
@@ -347,7 +363,7 @@ func (e *Engine) Delivery(r *rand.Rand) error {
 		cust.balance += int64(total)
 		cust.delivCnt++
 		encodeCustomer(cust, cb)
-		if err := e.writeRec(cfg.customerTbl(), cfg.custOff(w, d, int(o.cid)), cb); err != nil {
+		if err := e.writeRec(e.t.customer, cfg.custOff(w, d, int(o.cid)), cb); err != nil {
 			return err
 		}
 		delivered = true
@@ -355,7 +371,7 @@ func (e *Engine) Delivery(r *rand.Rand) error {
 	if !delivered {
 		return nil
 	}
-	return e.f.Fsync(cfg.districtTbl())
+	return e.f.Fsync(e.t.district)
 }
 
 // StockLevel counts low-stock items among recent orders (4%, read-only).
@@ -363,7 +379,7 @@ func (e *Engine) StockLevel(r *rand.Rand) error {
 	cfg := e.cfg
 	w := r.Intn(cfg.Warehouses)
 	d := r.Intn(districtsPerWH)
-	db, err := e.readRec(cfg.districtTbl(), cfg.distOff(w, d), distSize)
+	db, err := e.readRec(e.t.district, cfg.distOff(w, d), e.distBuf[:])
 	if err != nil {
 		return err
 	}
@@ -375,18 +391,18 @@ func (e *Engine) StockLevel(r *rand.Rand) error {
 		start = 0
 	}
 	for o := start; o < int64(dist.nextOID); o++ {
-		ob, err := e.readRec(cfg.orderTbl(), cfg.orderOff(w, d, int(o)), orderSize)
+		ob, err := e.readRec(e.t.order, cfg.orderOff(w, d, int(o)), e.ordBuf[:])
 		if err != nil {
 			return err
 		}
 		ord := decodeOrder(ob)
 		for l := 0; l < int(ord.olCount) && l < maxOLPerOrder; l++ {
-			olb, err := e.readRec(cfg.orderlineTbl(), cfg.olOff(w, d, int(o), l), olSize)
+			olb, err := e.readRec(e.t.orderline, cfg.olOff(w, d, int(o), l), e.olBuf[:])
 			if err != nil {
 				return err
 			}
 			ol := decodeOrderLine(olb)
-			sb, err := e.readRec(cfg.stockTbl(), cfg.stockOff(w, int(ol.itemID)%cfg.Items), stockSize)
+			sb, err := e.readRec(e.t.stock, cfg.stockOff(w, int(ol.itemID)%cfg.Items), e.stBuf[:])
 			if err != nil {
 				return err
 			}
@@ -403,10 +419,10 @@ func (e *Engine) StockLevel(r *rand.Rand) error {
 // configuration the database was loaded with.
 func Attach(f workload.FileAPI, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if _, err := f.Stat(cfg.districtTbl()); err != nil {
+	if _, err := f.Stat(cfg.tables().district); err != nil {
 		return nil, fmt.Errorf("oltp: attach: %w", err)
 	}
-	e := &Engine{f: f, cfg: cfg}
+	e := &Engine{f: f, cfg: cfg, t: cfg.tables()}
 	e.zr = sim.NewRand(cfg.Seed + 7)
 	e.custZ = sim.Zipf(e.zr, 1.2, uint64(cfg.CustomersPerDistrict-1))
 	e.itemZ = sim.Zipf(e.zr, 1.2, uint64(cfg.Items-1))

@@ -1,6 +1,7 @@
 package oltp_test
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"tinca/internal/blockdev"
@@ -240,5 +241,43 @@ func TestAttachRequiresLoadedDB(t *testing.T) {
 	}
 	if _, err := oltp.Attach(s.FS, oltp.Config{}); err == nil {
 		t.Fatal("attach to empty file system succeeded")
+	}
+}
+
+// TestPaymentKeepsWarehouseYTD checks TPC-C consistency condition 1
+// straight from the table bytes: after a run of Payments, each
+// warehouse's W_YTD (the first 8 bytes of its 96-byte record) equals the
+// sum of its ten districts' D_YTD (bytes 16..23 of each 112-byte record).
+func TestPaymentKeepsWarehouseYTD(t *testing.T) {
+	s, e := newEngine(t, stack.Tinca)
+	r := sim.NewRand(5)
+	for i := 0; i < 40; i++ {
+		if err := e.Payment(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u64 := func(path string, off uint64) uint64 {
+		b := make([]byte, 8)
+		if _, err := s.FS.ReadAt(path, off, b); err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint64(b)
+	}
+	cfg := e.Config()
+	for w := 0; w < cfg.Warehouses; w++ {
+		var sum uint64
+		for d := 0; d < 10; d++ {
+			sum += u64(cfg.Dir+"/district.tbl", uint64(w*10+d)*112+16)
+		}
+		wytd := u64(cfg.Dir+"/warehouse.tbl", uint64(w)*96)
+		if sum == 0 {
+			t.Fatalf("warehouse %d received no payments", w)
+		}
+		if wytd != sum {
+			t.Fatalf("warehouse %d: W_YTD %d != sum of D_YTD %d", w, wytd, sum)
+		}
+	}
+	if err := e.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -64,15 +64,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Table paths.
-func (c Config) warehouseTbl() string { return c.Dir + "/warehouse.tbl" }
-func (c Config) districtTbl() string  { return c.Dir + "/district.tbl" }
-func (c Config) customerTbl() string  { return c.Dir + "/customer.tbl" }
-func (c Config) stockTbl() string     { return c.Dir + "/stock.tbl" }
-func (c Config) itemTbl() string      { return c.Dir + "/item.tbl" }
-func (c Config) orderTbl() string     { return c.Dir + "/order.tbl" }
-func (c Config) orderlineTbl() string { return c.Dir + "/orderline.tbl" }
-func (c Config) historyTbl() string   { return c.Dir + "/history.tbl" }
+// tablePaths holds the eight table file paths, computed once per Engine
+// so no transaction builds a path string.
+type tablePaths struct {
+	warehouse, district, customer, stock, item, order, orderline, history string
+}
+
+func (c Config) tables() tablePaths {
+	return tablePaths{
+		warehouse: c.Dir + "/warehouse.tbl",
+		district:  c.Dir + "/district.tbl",
+		customer:  c.Dir + "/customer.tbl",
+		stock:     c.Dir + "/stock.tbl",
+		item:      c.Dir + "/item.tbl",
+		order:     c.Dir + "/order.tbl",
+		orderline: c.Dir + "/orderline.tbl",
+		history:   c.Dir + "/history.tbl",
+	}
+}
 
 // Record offsets. All indices are zero-based.
 func (c Config) whOff(w int) uint64 { return uint64(w) * whSize }
@@ -91,6 +100,19 @@ func (c Config) orderOff(w, d, o int) uint64 {
 }
 func (c Config) olOff(w, d, o, l int) uint64 {
 	return uint64(((w*districtsPerWH+d)*c.MaxOrders+o%c.MaxOrders)*maxOLPerOrder+l) * olSize
+}
+
+// warehouse record fields (within its 96 bytes).
+type warehouse struct {
+	ytd uint64 // year-to-date payment total (cents)
+}
+
+func encodeWarehouse(w warehouse, b []byte) {
+	binary.LittleEndian.PutUint64(b[0:], w.ytd)
+}
+
+func decodeWarehouse(b []byte) warehouse {
+	return warehouse{ytd: binary.LittleEndian.Uint64(b[0:])}
 }
 
 // district record fields (within its 112 bytes).
