@@ -186,6 +186,7 @@ func BenchmarkCommitLatency(b *testing.B) {
 		b.Fatal(err)
 	}
 	block := make([]byte, tinca.BlockSize)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		txn := c.Begin()

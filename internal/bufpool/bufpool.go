@@ -1,10 +1,11 @@
 // Package bufpool recycles 4KB block-sized scratch buffers: the core
-// cache's miss fills, eviction write-backs, destages, checkpoints and
-// copying read views; the object tier's fetch and upload paths; the JBD
-// journal's descriptor and replay blocks; and the file system's private
-// view copies. The simulated devices copy into or out of the buffer
-// synchronously, so a buffer's lifetime never outlives the call that
-// borrowed it — exactly the shape sync.Pool wants. Callers must not keep a
+// cache's miss fills, eviction write-backs, destages, checkpoints,
+// copying read views and staged transaction blocks; the object tier's
+// fetch and upload paths; the JBD journal's descriptor and replay blocks;
+// and the file system's private view copies. The simulated devices copy
+// into or out of the buffer synchronously, so most buffers never outlive
+// the call that borrowed them; a staged transaction block lives from
+// Txn.Write until its Commit or Abort returns. Callers must not keep a
 // reference after Put, and must not Put a buffer they did not Get.
 //
 // The pool holds *[BlockSize]byte, so a Get+Put round trip allocates

@@ -6,5 +6,7 @@ package core
 // atomic free bit flipped on every push/pop, panicking at the site of a
 // second push of the same block or slot (the far symptom — entry-table
 // exhaustion — is otherwise diagnosed long after the culprit returned).
-// Production builds compile it out; -tags tincadebug keeps it.
+// It also installs the transaction-buffer tracker, which panics on a
+// double return of a staged block buffer (txn.go). Production builds
+// compile both out; -tags tincadebug keeps them.
 const debugAlloc = false

@@ -455,6 +455,10 @@ type Cache struct {
 	rings []ringState
 	gen   atomic.Uint64
 
+	// txnBufs tracks the staging buffers lent to running transactions
+	// (tincadebug builds and tests only; nil otherwise). See txn.go.
+	txnBufs *txnBufTracker
+
 	// Watermark-evictor state (evictWake nil when EvictLowWater == 0).
 	evictLow    int
 	evictHigh   int
@@ -550,6 +554,9 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 	c.rings = make([]ringState, lay.Rings)
 	for r := range c.rings {
 		c.rings[r].init(c.rec, r)
+	}
+	if debugAlloc {
+		c.txnBufs = newTxnBufTracker()
 	}
 	c.destageWake = sync.NewCond(&c.destageWakeMu)
 	if opts.Observe || opts.Tracer != nil {
@@ -927,9 +934,14 @@ func (c *Cache) allocBlock(h int) (uint32, error) {
 			return b, nil
 		}
 	}
-	var scratch []victim
+	// Direct eviction wants directEvictBatch victims, so the scan never
+	// outgrows this array and the scratch stays off the heap.
+	var victims [directEvictBatch]victim
+	scratch := victims[:0]
 	for spin := 0; ; spin++ {
-		evicted, saw := c.evictBatch(directEvictBatch, true, &scratch)
+		var evicted int
+		var saw bool
+		evicted, saw, scratch = c.evictBatch(directEvictBatch, true, scratch)
 		if b, ok := c.alloc.popBlock(h); ok {
 			c.maybeWakeEvictor()
 			return b, nil

@@ -172,19 +172,29 @@ func TestCommitCOWOverwrite(t *testing.T) {
 	}
 }
 
+// TestTxnLatestWriteWins covers a transaction small enough to find its
+// blocks by scanning and one large enough to index them.
 func TestTxnLatestWriteWins(t *testing.T) {
-	r := newRig(t, 1<<20, Options{RingBytes: 4096})
-	txn := r.cache.Begin()
-	txn.Write(3, blockOf('x'))
-	txn.Write(3, blockOf('y'))
-	if txn.Len() != 1 {
-		t.Fatalf("txn.Len = %d, want 1 (coalesced)", txn.Len())
-	}
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := mustRead(t, r.cache, 3)[0]; got != 'y' {
-		t.Fatalf("read %q, want 'y'", got)
+	for _, n := range []uint64{1, smallTxn + 8} {
+		r := newRig(t, 1<<20, Options{RingBytes: 4096})
+		txn := r.cache.Begin()
+		for no := uint64(0); no < n; no++ {
+			txn.Write(3+no, blockOf('x'))
+		}
+		for no := n; no > 0; no-- {
+			txn.Write(3+no-1, blockOf('y'))
+		}
+		if txn.Len() != int(n) {
+			t.Fatalf("txn.Len = %d, want %d (coalesced)", txn.Len(), n)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for no := uint64(0); no < n; no++ {
+			if got := mustRead(t, r.cache, 3+no)[0]; got != 'y' {
+				t.Fatalf("%d-block txn: block %d read %q, want 'y'", n, 3+no, got)
+			}
+		}
 	}
 }
 

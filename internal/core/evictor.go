@@ -88,15 +88,17 @@ func (c *Cache) collectVictims(dst []victim, want int) []victim {
 // evictBatch selects and evicts up to want victims. Returns how many were
 // actually evicted and whether any eligible candidate existed at all (the
 // difference between "everything raced away, try again" and "the cache is
-// genuinely full of pinned blocks"). scratch is reused across calls.
-func (c *Cache) evictBatch(want int, direct bool, scratch *[]victim) (evicted int, saw bool) {
+// genuinely full of pinned blocks"). scratch is the caller's reusable
+// victim buffer; the (possibly grown) buffer is returned for the next
+// call.
+func (c *Cache) evictBatch(want int, direct bool, scratch []victim) (evicted int, saw bool, _ []victim) {
 	for attempt := 0; attempt < 4; attempt++ {
-		*scratch = c.collectVictims(*scratch, want)
-		if len(*scratch) == 0 {
+		scratch = c.collectVictims(scratch, want)
+		if len(scratch) == 0 {
 			break
 		}
 		saw = true
-		for _, v := range *scratch {
+		for _, v := range scratch {
 			if c.evictSlot(v) {
 				evicted++
 			}
@@ -112,7 +114,7 @@ func (c *Cache) evictBatch(want int, direct bool, scratch *[]victim) (evicted in
 			c.rec.Add(metrics.CacheEvictBg, int64(evicted))
 		}
 	}
-	return evicted, saw
+	return evicted, saw, scratch
 }
 
 // evictSlot evicts one selected victim. Selection dropped every lock, so
@@ -277,7 +279,8 @@ func (c *Cache) evictorRun(scratch *[]victim) {
 		if c.obs != nil {
 			t0 = c.obs.now()
 		}
-		n, _ := c.evictBatch(c.evictBatchN, false, scratch)
+		var n int
+		n, _, *scratch = c.evictBatch(c.evictBatchN, false, *scratch)
 		if n == 0 {
 			return // nothing evictable now; the foreground falls back
 		}

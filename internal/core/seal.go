@@ -98,11 +98,21 @@ type ringState struct {
 	mu         sync.Mutex
 	head, tail uint64 // cached copies of the persistent pointers
 
-	// Leader/follower queue for the ring's single-ring commits.
+	// Leader/follower queue for the ring's single-ring commits. batch is
+	// the current leader's copy of the transactions it seals; only the
+	// goroutine that set busy touches it. Both keep their backing arrays,
+	// so enqueueing allocates nothing in steady state.
 	qmu   sync.Mutex
 	qcond *sync.Cond
-	queue []*commitReq
+	queue []*Txn
+	batch []*Txn
 	busy  bool
+
+	// Seal scratch of every seal whose lowest participating ring this is,
+	// guarded by mu: the merged write set and, for batches of several
+	// transactions, its position by block number (empty between seals).
+	plan []planBlock
+	byNo map[uint64]int32
 
 	// Resolved counter cells (per-ring names) so the hot path never pays
 	// a registry lookup: seals counts this ring's seals, depth is the
@@ -116,11 +126,11 @@ func (rs *ringState) init(rec *metrics.Recorder, r int) {
 	rs.depth = rec.Counter(metrics.RingQueueDepthName(r))
 }
 
-// commitReq is one transaction waiting in a ring's commit queue. err and
-// pv are written by the leader before done is set (under the ring's qmu),
-// so the owning goroutine may read them once it observes done.
+// commitReq is a transaction's commit outcome, embedded in its Txn. err
+// and pv are written by the sealing goroutine before done is set (under
+// the ring's qmu), so the owning goroutine may read them once it observes
+// done.
 type commitReq struct {
-	t    *Txn
 	err  error
 	pv   any // injected-crash panic to re-raise on the owner's goroutine
 	done bool
@@ -156,7 +166,7 @@ func (c *Cache) commitRings(t *Txn) error {
 	var counts [shardCount]int
 	rings := 0
 	first := -1
-	for _, no := range t.order {
+	for _, no := range t.st.nos {
 		r := c.ringOf(no)
 		if counts[r] == 0 {
 			rings++
@@ -181,7 +191,6 @@ func (c *Cache) commitRings(t *Txn) error {
 	// all of them in index order), so it lives here rather than inside
 	// the seal.
 	c.maybeCheckpoint()
-	t.done = true
 	if c.obs != nil {
 		c.obs.phase(c.obs.total, 0, spanCommit, tEnq, c.obs.gid())
 	}
@@ -193,9 +202,9 @@ func (c *Cache) commitRings(t *Txn) error {
 // re-raises a crash panic captured by the leader.
 func (c *Cache) ringGroupCommit(r int, t *Txn) error {
 	rs := &c.rings[r]
-	req := &commitReq{t: t}
+	req := &t.req
 	rs.qmu.Lock()
-	rs.queue = append(rs.queue, req)
+	rs.queue = append(rs.queue, t)
 	rs.depth.Add(1)
 	for !req.done {
 		if rs.busy {
@@ -237,10 +246,11 @@ func (c *Cache) ringGroupCommit(r int, t *Txn) error {
 		rs.qmu.Lock()
 		for _, q := range batch {
 			if pv != nil {
-				q.pv = pv
+				q.req.pv = pv
 			}
-			q.done = true
+			q.req.done = true
 		}
+		clear(batch)
 		rs.busy = false
 		rs.qcond.Broadcast()
 	}
@@ -255,28 +265,33 @@ func (c *Cache) ringGroupCommit(r int, t *Txn) error {
 // GroupCommit.MaxBatch and so that the merged write set cannot exceed the
 // ring's slot capacity (the sum of per-txn block counts is a conservative
 // bound; every queued txn individually fits, so at least one is always
-// taken). Caller holds rs.qmu.
-func (c *Cache) takeRingBatchLocked(rs *ringState) []*commitReq {
+// taken). The batch is copied into rs.batch and the rest of the queue
+// slides to the front, so neither array is ever abandoned to the heap.
+// Caller holds rs.qmu and is the ring's leader.
+func (c *Cache) takeRingBatchLocked(rs *ringState) []*Txn {
 	maxBatch := c.opts.groupBatch()
 	blocks := 0
 	n := 0
 	for n < len(rs.queue) && n < maxBatch {
-		blocks += len(rs.queue[n].t.order)
+		blocks += len(rs.queue[n].st.nos)
 		if n > 0 && blocks > c.lay.RingSlots {
 			break
 		}
 		n++
 	}
-	batch := rs.queue[:n:n]
-	rs.queue = rs.queue[n:]
-	return batch
+	rs.batch = append(rs.batch[:0], rs.queue[:n]...)
+	k := copy(rs.queue, rs.queue[n:])
+	clear(rs.queue[k:])
+	rs.queue = rs.queue[:k]
+	return rs.batch
 }
 
 // commitCrossRing seals t across its participating rings: a solo seal
 // that locks the rings in index order. counts[r] > 0 marks participation.
 func (c *Cache) commitCrossRing(t *Txn, counts []int) error {
 	c.rec.Inc(metrics.TxnCrossShard)
-	ringIDs := make([]int, 0, len(counts))
+	var ids [shardCount]int
+	ringIDs := ids[:0]
 	for r, n := range counts {
 		if n > 0 {
 			ringIDs = append(ringIDs, r)
@@ -291,21 +306,21 @@ func (c *Cache) commitCrossRing(t *Txn, counts []int) error {
 			rs.mu.Lock()
 		}
 	}
-	req := &commitReq{t: t}
 	var sealID uint64
 	var g int64
 	if c.obs != nil {
 		sealID = c.obs.seals.Add(1)
 		g = c.obs.gid()
 	}
-	pv := c.runRingSealLocked(ringIDs, []*commitReq{req}, sealID, g)
+	batch := [1]*Txn{t}
+	pv := c.runRingSealLocked(ringIDs, batch[:], sealID, g)
 	for _, r := range ringIDs {
 		c.rings[r].mu.Unlock()
 	}
 	if pv != nil {
 		panic(pv)
 	}
-	return req.err
+	return t.req.err
 }
 
 // runRingSealLocked seals one batch on the given rings (ascending; caller
@@ -314,7 +329,7 @@ func (c *Cache) commitCrossRing(t *Txn, counts []int) error {
 // requests. When the merged batch cannot be allocated it degrades to one
 // seal per transaction: small transactions still succeed where the
 // merged batch could not fit.
-func (c *Cache) runRingSealLocked(ringIDs []int, batch []*commitReq, sealID uint64, g int64) (pv any) {
+func (c *Cache) runRingSealLocked(ringIDs []int, batch []*Txn, sealID uint64, g int64) (pv any) {
 	defer func() {
 		if r := recover(); r != nil {
 			// A simulated power failure fired mid-seal: poison the cache so
@@ -326,7 +341,7 @@ func (c *Cache) runRingSealLocked(ringIDs []int, batch []*commitReq, sealID uint
 	}()
 	if c.closed.Load() {
 		for _, q := range batch {
-			q.err = ErrClosed
+			q.req.err = ErrClosed
 		}
 		return nil
 	}
@@ -340,7 +355,8 @@ func (c *Cache) runRingSealLocked(ringIDs []int, batch []*commitReq, sealID uint
 			if c.obs != nil {
 				soloID = c.obs.seals.Add(1)
 			}
-			if q.err = c.sealRings(ringIDs, []*commitReq{q}, soloID, g); q.err != nil {
+			solo := [1]*Txn{q}
+			if q.req.err = c.sealRings(ringIDs, solo[:], soloID, g); q.req.err != nil {
 				c.rec.Inc(metrics.TxnAbort)
 			}
 		}
@@ -354,7 +370,7 @@ func (c *Cache) runRingSealLocked(ringIDs []int, batch []*commitReq, sealID uint
 // was unwound and the batch may be retried or failed by the caller.
 // sealID and g identify the seal and leader goroutine for observability
 // (both zero when Observe is off).
-func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g int64) error {
+func (c *Cache) sealRings(ringIDs []int, batch []*Txn, sealID uint64, g int64) error {
 	// Phase stamps: ts advances phase by phase; tSeal spans the whole
 	// batch. One nil check per phase when observability is off.
 	var ts, tSeal int64
@@ -368,24 +384,12 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 	// the whole batch commits atomically), allocate every NVM block and
 	// entry slot, and pin the hit targets against eviction (replacement
 	// rule 2, Section 4.6). Nothing has been persisted yet, so an
-	// allocation failure here unwinds in DRAM.
-	plan := make([]*planBlock, 0, 16)
-	byNo := make(map[uint64]*planBlock, 16)
-	absorbed := 0
-	for _, q := range batch {
-		for _, no := range q.t.order {
-			if pb, ok := byNo[no]; ok {
-				pb.data = q.t.blocks[no]
-				absorbed++
-				continue
-			}
-			pb := &planBlock{no: no, data: q.t.blocks[no]}
-			byNo[no] = pb
-			plan = append(plan, pb)
-		}
-	}
+	// allocation failure here unwinds in DRAM. The plan lives in the
+	// lowest participating ring's scratch, which its seal lock guards.
+	plan, absorbed := c.rings[ringIDs[0]].mergeBatch(batch)
 	var planErr error
-	for _, pb := range plan {
+	for k := range plan {
+		pb := &plan[k]
 		sh := c.shardOf(pb.no)
 		sh.mu.Lock()
 		i, hit := sh.slot(pb.no)
@@ -433,7 +437,7 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 	// reached (Options.SealHook).
 	gen := c.gen.Add(1)
 	for _, q := range batch {
-		q.t.sealGen = gen
+		q.sealGen = gen
 	}
 	c.flEmit(flight.EvSealBegin, uint16(ringIDs[0]), gen, uint64(len(plan)), uint64(len(batch)))
 
@@ -457,7 +461,8 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 	// the block's shard lock so concurrent readers never tear), one fence
 	// for all. Readers that catch a log-role entry serve the previous
 	// sealed version (or read around for fresh blocks).
-	for _, pb := range plan {
+	for k := range plan {
+		pb := &plan[k]
 		func() {
 			sh := c.shardOf(pb.no)
 			sh.mu.Lock()
@@ -518,7 +523,8 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 
 	// Phase D — role switches: flip every entry to buffer role, freeing
 	// the previous versions; one fence for all.
-	for _, pb := range plan {
+	for k := range plan {
+		pb := &plan[k]
 		func() {
 			sh := c.shardOf(pb.no)
 			sh.mu.Lock()
@@ -597,9 +603,9 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 		}
 	}
 	for _, q := range batch {
-		q.err = nil
+		q.req.err = nil
 		c.rec.Inc(metrics.TxnCommit)
-		c.rec.Add(metrics.TxnBlocks, int64(len(q.t.order)))
+		c.rec.Add(metrics.TxnBlocks, int64(len(q.st.nos)))
 	}
 	c.rec.Inc(metrics.TxnGroupSeals)
 	c.rec.Add(metrics.TxnGroupSize, int64(len(batch)))
@@ -612,6 +618,41 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 		c.obs.phase(c.obs.seal, sealID, spanSeal, tSeal, g)
 	}
 	return nil
+}
+
+// mergeBatch builds the batch's merged write set in rs's plan scratch, in
+// arrival order with the last writer's contents (a legal serial schedule,
+// because the whole batch commits atomically), and counts the writes it
+// absorbed. A lone transaction is already one entry per block; only a
+// batch of several needs the byNo index. Caller holds rs.mu.
+func (rs *ringState) mergeBatch(batch []*Txn) (plan []planBlock, absorbed int) {
+	plan = rs.plan[:0]
+	if len(batch) == 1 {
+		st := batch[0].st
+		for k, no := range st.nos {
+			plan = append(plan, planBlock{no: no, data: st.bufs[k]})
+		}
+		rs.plan = plan
+		return plan, 0
+	}
+	if rs.byNo == nil {
+		rs.byNo = make(map[uint64]int32)
+	}
+	for _, q := range batch {
+		st := q.st
+		for k, no := range st.nos {
+			if i, ok := rs.byNo[no]; ok {
+				plan[i].data = st.bufs[k]
+				absorbed++
+				continue
+			}
+			rs.byNo[no] = int32(len(plan))
+			plan = append(plan, planBlock{no: no, data: st.bufs[k]})
+		}
+	}
+	rs.byNo = resetIndex(rs.byNo, len(plan))
+	rs.plan = plan
+	return plan, absorbed
 }
 
 // storeRingRecord stores and flushes (no fence) ring r's record naming
@@ -666,7 +707,7 @@ func (c *Cache) persistTail(r int) {
 // been persisted, so this is pure DRAM bookkeeping. The caller holds the
 // participating ring locks, the seal exclusion for every planned block;
 // the body itself only takes shard locks and the (thread-safe) allocator.
-func (c *Cache) unwindPlan(plan []*planBlock) {
+func (c *Cache) unwindPlan(plan []planBlock) {
 	for _, pb := range plan {
 		if pb.hit {
 			sh := c.shardOf(pb.no)

@@ -107,7 +107,8 @@ func checkFallbackBlocks(t *testing.T, c *Cache, st *fallbackState) {
 // which cannot fit, while each transaction alone always fits. The seal
 // must unwind the merged plan and commit the transactions one seal each.
 // Then a crash mid-run must leave only acknowledged (or the in-flight,
-// unacknowledged) transactions visible, each atomically.
+// unacknowledged) transactions visible, each atomically. Every staged
+// buffer goes back exactly once, through the split and the crash alike.
 func TestSealAllocFallback(t *testing.T) {
 	for _, rings := range []int{1, 4} {
 		rings := rings
@@ -132,6 +133,7 @@ func TestSealAllocFallback(t *testing.T) {
 				if c.Capacity() != 10 {
 					t.Fatalf("capacity %d, want 10", c.Capacity())
 				}
+				trackBufs(c)
 				return mem, disk, c
 			}
 
@@ -141,6 +143,7 @@ func TestSealAllocFallback(t *testing.T) {
 			ops0 := mem.PersistOps()
 			runFallbackCommitters(t, c, &st)
 			runOps := mem.PersistOps() - ops0
+			requireNoOutstandingBufs(t, c.txnBufs, "fallback run")
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -160,6 +163,7 @@ func TestSealAllocFallback(t *testing.T) {
 				if c.poisoned.Load() == nil {
 					t.Fatalf("crash armed at 1/%d of the run never fired", frac)
 				}
+				requireNoOutstandingBufs(t, c.txnBufs, fmt.Sprintf("crash at 1/%d", frac))
 				mem.Crash(nil, 0)
 				c, err := Open(mem, disk, opts)
 				if err != nil {

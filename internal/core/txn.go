@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"tinca/internal/bufpool"
 	"tinca/internal/flight"
@@ -13,16 +14,155 @@ import (
 // number of them build up concurrently without touching cache locks; only
 // Commit enters the (group-) commit pipeline. A Txn is not safe for
 // concurrent use by multiple goroutines; use one Txn per writer.
+//
+// The staged blocks live in a pooled txnStage whose buffers come from
+// bufpool; Commit and Abort hand them back exactly once (DESIGN.md §17,
+// "Core transaction buffers"). The Txn itself is never pooled, so SealSeq
+// stays readable after Commit.
 type Txn struct {
-	c      *Cache
-	blocks map[uint64][]byte
-	order  []uint64
-	done   bool
+	c    *Cache
+	st   *txnStage // nil once the transaction finished
+	done bool
 
 	// sealGen is the generation of the seal this transaction was
 	// committed under (0 until a seal claims it). Written by the sealing
 	// goroutine before the seal's commit point.
 	sealGen uint64
+
+	// req carries the commit outcome back from the sealing goroutine.
+	req commitReq
+}
+
+// txnStage is a transaction's DRAM staging: block numbers in first-write
+// order and their buffers, parallel. Transactions of up to smallTxn
+// blocks find a block by a linear scan; larger ones build an index.
+type txnStage struct {
+	nos   []uint64
+	bufs  [][]byte
+	index map[uint64]int32 // position in nos; used only past smallTxn blocks
+}
+
+const (
+	// smallTxn is the largest transaction that needs no index map.
+	smallTxn = 16
+	// maxKeptIndex bounds the block index maps kept for reuse (a
+	// recycled stage's, a ring's seal dedupe): see resetIndex.
+	maxKeptIndex = 256
+)
+
+// resetIndex empties an index map that held n entries. clear costs
+// O(capacity), so a map that grew past maxKeptIndex is dropped rather
+// than cleared for every later, smaller user.
+func resetIndex(m map[uint64]int32, n int) map[uint64]int32 {
+	if n > maxKeptIndex {
+		return nil
+	}
+	clear(m)
+	return m
+}
+
+var stagePool = sync.Pool{New: func() any { return new(txnStage) }}
+
+// find returns the position of block no in the stage.
+func (st *txnStage) find(no uint64) (int, bool) {
+	if len(st.nos) > smallTxn {
+		i, ok := st.index[no]
+		return int(i), ok
+	}
+	for i, n := range st.nos {
+		if n == no {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// add appends block no staged in buf.
+func (st *txnStage) add(no uint64, buf []byte) {
+	st.nos = append(st.nos, no)
+	st.bufs = append(st.bufs, buf)
+	switch n := len(st.nos); {
+	case n == smallTxn+1:
+		if st.index == nil {
+			st.index = make(map[uint64]int32, 2*smallTxn)
+		}
+		for i, b := range st.nos {
+			st.index[b] = int32(i)
+		}
+	case n > smallTxn+1:
+		st.index[no] = int32(n - 1)
+	}
+}
+
+// releaseStage returns every staged buffer and then the stage itself.
+func (c *Cache) releaseStage(st *txnStage) {
+	for i, b := range st.bufs {
+		c.putTxnBuf(b)
+		st.bufs[i] = nil
+	}
+	if len(st.nos) > smallTxn {
+		st.index = resetIndex(st.index, len(st.nos))
+	}
+	st.nos, st.bufs = st.nos[:0], st.bufs[:0]
+	stagePool.Put(st)
+}
+
+// getTxnBuf borrows a staging buffer for one block.
+func (c *Cache) getTxnBuf() []byte {
+	b := bufpool.Get()
+	if c.txnBufs != nil {
+		c.txnBufs.lend(b)
+	}
+	return b
+}
+
+// putTxnBuf returns a staging buffer; it must not be used afterwards.
+func (c *Cache) putTxnBuf(b []byte) {
+	if c.txnBufs != nil {
+		c.txnBufs.reclaim(b)
+	}
+	bufpool.Put(b)
+}
+
+// txnBufTracker records the staging buffers currently lent to running
+// transactions. Open installs one in tincadebug builds (see debugAlloc);
+// tests install one to check that every buffer goes back exactly once.
+// A return of a buffer that is not out — a double return — panics at the
+// culprit's own call site.
+type txnBufTracker struct {
+	mu  sync.Mutex
+	out map[*[BlockSize]byte]struct{}
+}
+
+func newTxnBufTracker() *txnBufTracker {
+	return &txnBufTracker{out: make(map[*[BlockSize]byte]struct{})}
+}
+
+func (k *txnBufTracker) lend(b []byte) {
+	p := (*[BlockSize]byte)(b)
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if _, ok := k.out[p]; ok {
+		panic("core: transaction buffer lent twice")
+	}
+	k.out[p] = struct{}{}
+}
+
+func (k *txnBufTracker) reclaim(b []byte) {
+	p := (*[BlockSize]byte)(b)
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if _, ok := k.out[p]; !ok {
+		panic("core: double return of transaction buffer")
+	}
+	delete(k.out, p)
+}
+
+// outstanding reports how many buffers are lent right now.
+func (k *txnBufTracker) outstanding() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.out)
 }
 
 // SealSeq returns the sequence number of the seal that committed (or was
@@ -36,12 +176,13 @@ func (t *Txn) SealSeq() uint64 { return t.sealGen }
 
 // Begin initiates a running transaction (tinca_init_txn).
 func (c *Cache) Begin() *Txn {
-	return &Txn{c: c, blocks: make(map[uint64][]byte)}
+	return &Txn{c: c, st: stagePool.Get().(*txnStage)}
 }
 
 // Write stages the new contents of disk block no. Writing the same block
 // twice in one transaction keeps the latest contents (the file system
-// coalesces updates per transaction, as JBD2 does).
+// coalesces updates per transaction, as JBD2 does). data is copied, so
+// the caller may reuse it as soon as Write returns.
 func (t *Txn) Write(no uint64, data []byte) {
 	if t.done {
 		panic("core: Write on finished transaction")
@@ -52,29 +193,43 @@ func (t *Txn) Write(no uint64, data []byte) {
 	if no > maxDiskBlock {
 		panic("core: disk block number exceeds 7 bytes")
 	}
-	buf, ok := t.blocks[no]
-	if !ok {
-		buf = make([]byte, BlockSize)
-		t.blocks[no] = buf
-		t.order = append(t.order, no)
+	if i, ok := t.st.find(no); ok {
+		copy(t.st.bufs[i], data)
+		return
 	}
+	buf := t.c.getTxnBuf()
 	copy(buf, data)
+	t.st.add(no, buf)
 }
 
-// Len reports how many distinct blocks are staged.
-func (t *Txn) Len() int { return len(t.order) }
+// Len reports how many distinct blocks are staged; 0 once the
+// transaction finished.
+func (t *Txn) Len() int {
+	if t.st == nil {
+		return 0
+	}
+	return len(t.st.nos)
+}
+
+// finish ends the transaction and hands its staged buffers back. Commit
+// defers it, so it also runs while an injected crash unwinds.
+func (t *Txn) finish() {
+	t.done = true
+	if st := t.st; st != nil {
+		t.st = nil
+		t.c.releaseStage(st)
+	}
+}
 
 // Abort discards the running transaction (tinca_abort). Nothing has been
 // written to NVM for a running transaction, so this is purely a DRAM
 // operation; blocks partially committed by a crashed commit are revoked by
-// recovery instead.
+// recovery instead. Abort after Commit is a no-op.
 func (t *Txn) Abort() {
 	if t.done {
 		return
 	}
-	t.done = true
-	t.blocks = nil
-	t.order = nil
+	t.finish()
 	t.c.rec.Inc(metrics.TxnAbort)
 }
 
@@ -97,25 +252,26 @@ func (t *Txn) Abort() {
 // commit.
 //
 // On success all staged blocks are durable and atomic: after any crash,
-// either every block of this transaction is visible or none is.
+// either every block of this transaction is visible or none is. Commit
+// finishes the transaction whatever it returns; a later Abort is a no-op.
 func (t *Txn) Commit() error {
 	if t.done {
 		panic("core: Commit on finished transaction")
 	}
+	defer t.finish()
 	c := t.c
 	c.checkPoison()
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	if len(t.order) == 0 {
-		t.done = true
+	if len(t.st.nos) == 0 {
 		return nil
 	}
 	if !c.serial {
 		// Per-ring capacity checks and routing live in commitRings.
 		return c.commitRings(t)
 	}
-	if len(t.order) > c.lay.RingSlots {
+	if len(t.st.nos) > c.lay.RingSlots {
 		return ErrTxnTooLarge
 	}
 	var t0 int64
@@ -131,7 +287,6 @@ func (t *Txn) Commit() error {
 	if err == nil {
 		c.maybeCheckpoint()
 	}
-	t.done = true
 	if c.obs != nil {
 		c.obs.phase(c.obs.total, 0, spanSerial, t0, c.obs.gid())
 	}
@@ -147,7 +302,8 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	t.sealGen = c.gen.Add(1)
-	c.flEmit(flight.EvSerialBegin, 0, t.sealGen, uint64(len(t.order)), 0)
+	st := t.st
+	c.flEmit(flight.EvSerialBegin, 0, t.sealGen, uint64(len(st.nos)), 0)
 	// Every slot this commit touches stays pinned (in its block's shard)
 	// until the Tail flip below is durable: after the role switch an
 	// entry looks like an ordinary dirty buffer, but evicting it — with
@@ -155,17 +311,17 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 	// observe a half-committed transaction. unpin releases them, keyed by
 	// the block number the pin was registered under (the slot alone is
 	// not enough once DisableTxnPin allows mid-commit reuse).
-	touched := make([]int32, 0, len(t.order))
+	touched := make([]int32, 0, len(st.nos))
 	unpin := func() {
 		for k, slot := range touched {
-			sh := c.shardOf(t.order[k])
+			sh := c.shardOf(st.nos[k])
 			sh.mu.Lock()
 			delete(sh.pinned, slot)
 			sh.mu.Unlock()
 		}
 	}
-	for _, no := range t.order {
-		slot, err := c.commitBlock(no, t.blocks[no])
+	for k, no := range st.nos {
+		slot, err := c.commitBlock(no, st.bufs[k])
 		if err != nil {
 			// Allocation failure mid-commit: the blocks committed so far
 			// carry the log role. Persist Tail over the consumed ring
@@ -211,7 +367,7 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 	c.persistTail(0)
 	// After the flip, so this record durable implies the commit durable
 	// (the invariant the crash oracle checks against the recovered Tail).
-	c.flEmit(flight.EvSerialCommit, 0, t.sealGen, rs.head, uint64(len(t.order)))
+	c.flEmit(flight.EvSerialCommit, 0, t.sealGen, rs.head, uint64(len(st.nos)))
 	if c.opts.SealHook != nil {
 		c.opts.SealHook(t.sealGen)
 	}
@@ -231,7 +387,7 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 	unpin()
 
 	c.rec.Inc(metrics.TxnCommit)
-	c.rec.Add(metrics.TxnBlocks, int64(len(t.order)))
+	c.rec.Add(metrics.TxnBlocks, int64(len(st.nos)))
 	return nil
 }
 

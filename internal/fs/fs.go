@@ -93,6 +93,7 @@ type FS struct {
 	staged        map[uint64][]byte
 	stagedSeq     []uint64
 	stagedRevokes map[uint64]bool
+	revokesPeak   int // most entries stagedRevokes held this group
 	groupLimit    int
 
 	// Page cache: committed block contents (DRAM, free to read).
@@ -376,10 +377,28 @@ func (f *FS) beginOp() *opCtx {
 
 // endOp returns a context to the pool, emptied. The overlay's buffers
 // must already have been merged into the group transaction or recycled.
+// The overlay never loses a key mid-op, so len(seq) is its peak size.
 func (f *FS) endOp(c *opCtx) {
-	clear(c.overlay)
+	c.overlay = resetBlockMap(c.overlay, len(c.seq))
 	c.seq, c.undo, c.freed = c.seq[:0], c.undo[:0], c.freed[:0]
 	f.ctxPool.Put(c)
+}
+
+// maxKeptMapLen bounds the maps a reset clears in place: the op overlay
+// and the group's staged and revoked sets. clear costs O(capacity), not
+// O(len), so a map that once held a bulk operation's blocks would make
+// every later small operation pay for them.
+const maxKeptMapLen = 128
+
+// resetBlockMap empties m, which has held at most peak entries since its
+// last reset. A map that grew past maxKeptMapLen is swapped for a fresh
+// one, so a map that is kept never held more than that.
+func resetBlockMap[V any](m map[uint64]V, peak int) map[uint64]V {
+	if peak > maxKeptMapLen {
+		return make(map[uint64]V)
+	}
+	clear(m)
+	return m
 }
 
 // maxFreeBufs bounds the FS's free list of block buffers (1MB).
@@ -532,6 +551,7 @@ func (f *FS) runOpLocked(force bool, body func(*opCtx) error) error {
 	for _, no := range ctx.freed {
 		f.stagedRevokes[no] = true
 	}
+	f.revokesPeak = max(f.revokesPeak, len(f.stagedRevokes))
 	if !force && f.groupLimit > 0 && len(f.staged) < f.groupLimit && !f.commitTimerDue() {
 		return nil
 	}
@@ -576,9 +596,12 @@ func (f *FS) commitGroup() error {
 		f.pageCache.put(no, d)
 		f.putBuf(d)
 	}
-	clear(f.staged)
+	// staged never loses a key before this reset, so len(stagedSeq) is
+	// its peak size.
+	f.staged = resetBlockMap(f.staged, len(f.stagedSeq))
 	f.stagedSeq = f.stagedSeq[:0]
-	clear(f.stagedRevokes)
+	f.stagedRevokes = resetBlockMap(f.stagedRevokes, f.revokesPeak)
+	f.revokesPeak = 0
 	return nil
 }
 

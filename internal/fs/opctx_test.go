@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -99,4 +100,66 @@ func TestPathWalkMatchesSplitPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mapID identifies a map's storage, so a test can tell a map cleared in
+// place from one swapped for a fresh map.
+func mapID[V any](m map[uint64]V) uintptr {
+	return uintptr(reflect.ValueOf(m).UnsafePointer())
+}
+
+// TestBulkOpLeavesSmallMaps checks that a reset after a bulk operation
+// swaps the op overlay and the group's staged and revoked maps for fresh
+// ones, and that a reset after a small operation keeps them. clear costs
+// O(capacity), so a kept bulk-sized map would make every later small
+// operation pay for the bulk one.
+func TestBulkOpLeavesSmallMaps(t *testing.T) {
+	f := newFSForTest(t, 4096, Options{})
+
+	// The pooled context, driven directly.
+	for _, n := range []int{3, maxKeptMapLen, maxKeptMapLen + 1, 4096} {
+		ctx := f.beginOp()
+		for no := uint64(0); no < uint64(n); no++ {
+			ctx.overlay[no] = nil
+			ctx.seq = append(ctx.seq, no)
+		}
+		before := mapID(ctx.overlay)
+		f.endOp(ctx)
+		if len(ctx.overlay) != 0 {
+			t.Fatalf("%d-block overlay not emptied", n)
+		}
+		if kept := mapID(ctx.overlay) == before; kept != (n <= maxKeptMapLen) {
+			t.Fatalf("%d-block overlay: kept = %v, want %v", n, kept, n <= maxKeptMapLen)
+		}
+	}
+
+	// The group maps, through real operations (every operation commits).
+	small := bytes.Repeat([]byte{1}, BlockSize)
+	bulk := bytes.Repeat([]byte{2}, 4*maxKeptMapLen*BlockSize)
+	staged, revokes := mapID(f.staged), mapID(f.stagedRevokes)
+	if err := f.WriteFile("/small", small); err != nil {
+		t.Fatal(err)
+	}
+	if mapID(f.staged) != staged || mapID(f.stagedRevokes) != revokes {
+		t.Fatal("a one-block write replaced the group maps")
+	}
+	if err := f.WriteFile("/bulk", bulk); err != nil {
+		t.Fatal(err)
+	}
+	if mapID(f.staged) == staged || len(f.staged) != 0 {
+		t.Fatal("staged map kept after a bulk write")
+	}
+	if mapID(f.stagedRevokes) != revokes {
+		t.Fatal("a write that freed nothing replaced the revoked map")
+	}
+	if err := f.Remove("/bulk"); err != nil {
+		t.Fatal(err)
+	}
+	if mapID(f.stagedRevokes) == revokes || len(f.stagedRevokes) != 0 || f.revokesPeak != 0 {
+		t.Fatal("revoked map kept after freeing a bulk file")
+	}
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
+	}
+	requireCleanCtx(t, f)
 }

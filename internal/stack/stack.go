@@ -544,7 +544,7 @@ func (s *Stack) Remount() error { return s.bringUp(false) }
 type tincaBackend struct{ c *core.Cache }
 
 func (b *tincaBackend) ReadBlock(no uint64, p []byte) error { return b.c.Read(no, p) }
-func (b *tincaBackend) Begin() fs.BackendTxn                { return &tincaTxn{t: b.c.Begin()} }
+func (b *tincaBackend) Begin() fs.BackendTxn                { return tincaTxn{t: b.c.Begin()} }
 func (b *tincaBackend) Sync() error                         { return nil } // commits are already durable
 func (b *tincaBackend) Close() error                        { return b.c.Close() }
 
@@ -566,16 +566,18 @@ func (b *tincaBackend) ReadBlockView(no uint64) (fs.BlockView, error) {
 	return &v, nil
 }
 
+// tincaTxn is pointer-shaped and has value methods, so boxing it in the
+// fs.BackendTxn interface allocates nothing beyond the core.Txn itself.
 type tincaTxn struct{ t *core.Txn }
 
-func (t *tincaTxn) Write(no uint64, data []byte) { t.t.Write(no, data) }
+func (t tincaTxn) Write(no uint64, data []byte) { t.t.Write(no, data) }
 
 // Revoke is a no-op for Tinca: a freed block's stale cached contents are
 // harmless (the block is only read again after being re-allocated and
 // re-written, and Tinca's commit makes the rewrite durable first).
-func (t *tincaTxn) Revoke(uint64) {}
-func (t *tincaTxn) Commit() error { return t.t.Commit() }
-func (t *tincaTxn) Abort()        { t.t.Abort() }
+func (t tincaTxn) Revoke(uint64) {}
+func (t tincaTxn) Commit() error { return t.t.Commit() }
+func (t tincaTxn) Abort()        { t.t.Abort() }
 
 // journalBackend routes transactions through the redo journal (Classic).
 // In ordered mode only metadata blocks are journalled; data blocks are
